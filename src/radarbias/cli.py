@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -86,6 +87,8 @@ def _float_triple(value, where: str) -> list[float]:
         raise ConfigError(f"{where} must be a 3-vector of numbers: {exc}") from exc
     if len(vec) != 3:
         raise ConfigError(f"{where} must have exactly 3 entries, got {len(vec)}")
+    if not all(map(math.isfinite, vec)):
+        raise ConfigError(f"{where} must be finite, got {vec}")
     return vec
 
 
@@ -141,7 +144,7 @@ def cmd_register(args) -> int:
     problem = _parse_registration_config(_load_json(args.config))
     sol = registration.solve_absolute_bias(problem)
     if args.format == "json":
-        text = json.dumps(_solution_record(sol), indent=2)
+        text = json.dumps(_solution_record(sol), indent=2, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -166,6 +169,8 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise ConfigError(f"bad {what} list '{text}': {exc}") from exc
     if not values:
         raise ConfigError(f"empty {what} list")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} values must be finite, got '{text}'")
     return values
 
 
@@ -193,7 +198,7 @@ def cmd_gains(args) -> int:
             "eig1_mod": _fmt(r.eig1_mod), "eig2_mod": _fmt(r.eig2_mod),
             "S11dot": _fmt(r.s11_dot), "S21dot": _fmt(r.s21_dot),
             "excluded_root": _fmt(r.excluded_root),
-        } for r in rows], indent=2)
+        } for r in rows], indent=2, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -223,7 +228,7 @@ def cmd_simulate(args) -> int:
         for key in ("empirical_S", "predicted_S", "relative_errors"):
             doc_out[key] = [[_fmt(v) for v in row] for row in doc_out[key]]
         doc_out["wall_time_s"] = _fmt(doc_out["wall_time_s"])
-        text = json.dumps(doc_out, indent=2)
+        text = json.dumps(doc_out, indent=2, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -309,7 +314,7 @@ def cmd_transform(args) -> int:
     record = {"frame": dst, "point": [float(v) for v in out],
               "components": components}
     if args.format == "json":
-        text = json.dumps(record, indent=2)
+        text = json.dumps(record, indent=2, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)

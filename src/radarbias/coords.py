@@ -64,6 +64,8 @@ class GeodeticSite:
     def __post_init__(self):
         if not abs(self.latitude) <= math.pi / 2:
             raise ValueError(f"latitude {self.latitude} outside [-pi/2, pi/2]")
+        if not math.isfinite(self.longitude):
+            raise ValueError(f"longitude {self.longitude} is not finite")
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ class EarthModel:
     eccentricity: float = 0.0818191908426
 
     def __post_init__(self):
-        if self.equatorial_radius_m <= 0:
-            raise ValueError("equatorial radius must be positive")
+        if not 0 < self.equatorial_radius_m < math.inf:
+            raise ValueError("equatorial radius must be positive and finite")
         if not 0 <= self.eccentricity < 1:
             raise ValueError("eccentricity must be in [0, 1)")
 

@@ -6,13 +6,18 @@ constant-gain filter, and compares the empirical prediction-error
 covariance against the closed-form total covariance. Also synthesizes
 two-sensor registration problems with known ground-truth biases.
 
-Runs are independent; each draws its noise from a dedicated generator
-derived deterministically from the master seed and the run index, so
-reports are reproducible bit for bit.
+Noise comes from per-step streams keyed by the master seed: one generator
+per stream kind and step (``stream_draws``), whose draw i belongs to run
+i. The bias stream (kind 0) is drawn once at step 0; the process (kind 1)
+and measurement (kind 2) streams are drawn once per step. A run's noise
+therefore does not depend on the number of runs, and reports are
+reproducible bit for bit. This layout is ``STREAM_VERSION`` 2; reports of
+the earlier per-run-generator layout are not bit-comparable with it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +28,11 @@ from .coords import SphericalTriple
 from .errors import InvalidGains
 
 _MEAN_BIAS = 0.0  # the error statistics depend on the bias spread only
+
+#: version of the noise-stream layout, recorded in every report
+STREAM_VERSION = 2
+#: stream kinds of ``stream_draws``
+BIAS, PROCESS, MEASUREMENT = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,8 @@ class SimScenario:
             raise ValueError("n_runs and n_steps must be at least 1")
         if self.burn_in is not None and not 0 <= self.burn_in < self.n_steps:
             raise ValueError("burn_in must lie in [0, n_steps)")
+        if len(self.initial_state) != 2 or not all(map(math.isfinite, self.initial_state)):
+            raise ValueError("initial_state must be two finite numbers")
 
     @property
     def effective_burn_in(self) -> int:
@@ -106,24 +118,32 @@ class SimReport:
             "predicted_S": self.predicted_s.tolist(),
             "relative_errors": self.relative_errors.tolist(),
             "run_seeds": list(self.run_seeds),
+            "stream_version": STREAM_VERSION,
             "n_samples": self.n_samples,
             "wall_time_s": self.wall_time_s,
         }
 
 
-def run_seed_sequence(master_seed: int, run_index: int) -> np.random.SeedSequence:
-    """Independent substream for one run: master entropy keyed by run index."""
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,))
+def stream_draws(master_seed: int, kind: int, step: int, n_runs: int,
+                 scale: float) -> np.ndarray:
+    """Zero-mean normal draws of one stream kind at one step, entry i for run i.
+
+    The generator is keyed by ``(master_seed, kind, step)`` and fills its
+    output in order, so the first n entries are the same for any n_runs >= n.
+    """
+    seq = np.random.SeedSequence(master_seed, spawn_key=(kind, step))
+    return np.random.default_rng(seq).normal(0.0, scale, n_runs)
 
 
 def run_monte_carlo(scenario: SimScenario) -> SimReport:
     """Simulate all runs, filter with the fixed gain, compare covariances.
 
-    Per run: draw the bias from N(0, bias_var) and the process and
-    measurement noise sequences, propagate the truth, run the constant-gain
-    filter started on the true initial state, and accumulate outer products
-    of the one-step prediction error after the burn-in. Raises InvalidGains
-    when the gains fail validation for the scenario's noise levels.
+    Draws each run's bias from N(0, bias_var) and, step by step, its process
+    and measurement noise; propagates the truth, runs the constant-gain
+    filter started on the true initial state, and accumulates outer
+    products of the one-step prediction error after the burn-in. Raises
+    InvalidGains when the gains fail validation for the scenario's noise
+    levels.
     """
     report = steady_state.validate_gains(scenario.gains, scenario.config)
     if not report.ok:
@@ -131,47 +151,37 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
 
     t0 = time.perf_counter()
     cfg, gains = scenario.config, scenario.gains
-    n_runs, n_steps = scenario.n_runs, scenario.n_steps
+    seed, n_runs, n_steps = scenario.master_seed, scenario.n_runs, scenario.n_steps
     burn_in = scenario.effective_burn_in
+    sd_process = math.sqrt(cfg.process_var)
+    sd_meas = math.sqrt(cfg.meas_var)
 
-    # per-run draws come from per-run substreams so the accumulation order
-    # cannot change the report
-    bias = np.empty(n_runs)
-    process = np.empty((n_runs, n_steps))
-    meas = np.empty((n_runs, n_steps))
-    run_seeds = []
-    sd_bias = np.sqrt(cfg.bias_var)
-    sd_process = np.sqrt(cfg.process_var)
-    sd_meas = np.sqrt(cfg.meas_var)
-    for i in range(n_runs):
-        seq = run_seed_sequence(scenario.master_seed, i)
-        run_seeds.append(int(seq.generate_state(1)[0]))
-        rng = np.random.default_rng(seq)
-        bias[i] = rng.normal(_MEAN_BIAS, sd_bias)
-        process[i] = rng.normal(0.0, sd_process, n_steps)
-        meas[i] = rng.normal(0.0, sd_meas, n_steps)
+    # a per-run tag, prefix-stable in n_runs; it seeds nothing
+    run_seeds = np.random.SeedSequence(seed).generate_state(n_runs).tolist()
+    bias = _MEAN_BIAS + stream_draws(seed, BIAS, 0, n_runs, math.sqrt(cfg.bias_var))
 
-    phi = np.array([[1.0, cfg.period], [0.0, 1.0]])
-    k_gain = steady_state.kbar(gains, cfg.period)
-
-    truth = np.tile(np.asarray(scenario.initial_state, dtype=float)[:, None], (1, n_runs))
-    estimate = truth.copy()
+    period = cfg.period
+    gain_pos, gain_vel = steady_state.kbar(gains, period)
+    pos = np.full(n_runs, float(scenario.initial_state[0]))
+    vel = np.full(n_runs, float(scenario.initial_state[1]))
+    est_pos, est_vel = pos.copy(), vel.copy()
     acc = np.zeros(3)
     n_samples = 0
     for k in range(n_steps):
-        truth_next = phi @ truth
-        truth_next[1] += process[:, k]
-        predicted = phi @ estimate
-        z = truth_next[0] + meas[:, k] + bias
-        innovation = z - predicted[0] - _MEAN_BIAS
-        estimate = predicted + k_gain[:, None] * innovation
+        pos += period * vel
+        vel += stream_draws(seed, PROCESS, k, n_runs, sd_process)
+        est_pos += period * est_vel  # the estimate now holds the prediction
+        err_pos = pos - est_pos
         if k >= burn_in:
-            err = truth_next - predicted
-            acc[0] += err[0] @ err[0]
-            acc[1] += err[0] @ err[1]
-            acc[2] += err[1] @ err[1]
+            err_vel = vel - est_vel
+            acc[0] += err_pos @ err_pos
+            acc[1] += err_pos @ err_vel
+            acc[2] += err_vel @ err_vel
             n_samples += n_runs
-        truth = truth_next
+        meas = stream_draws(seed, MEASUREMENT, k, n_runs, sd_meas)
+        innovation = err_pos + meas + bias - _MEAN_BIAS
+        est_pos += gain_pos * innovation
+        est_vel += gain_vel * innovation
 
     empirical = np.array([[acc[0], acc[1]], [acc[1], acc[2]]]) / n_samples
     predicted_s = steady_state.predicted_covariances(gains, cfg).s_dot

@@ -42,6 +42,10 @@ class SteadyStateConfig:
     rho: float | None = None
 
     def __post_init__(self):
+        numbers = (self.period, self.meas_var, self.process_var, self.bias_var,
+                   0.0 if self.rho is None else self.rho)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("period, variances and rho must be finite")
         if not self.period > 0:
             raise ValueError("period must be positive")
         if self.meas_var < 0 or self.process_var < 0 or self.bias_var < 0:

@@ -171,6 +171,13 @@ class TestSimulate:
         assert doc["n_samples"] == 200 * 20
         assert len(doc["run_seeds"]) == 200
 
+    def test_stream_version_reported(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_doc(n_runs=20, n_steps=4)))
+        code, out, _ = run(capsys, "simulate", "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["stream_version"] == 2
+
     def test_seed_override_and_determinism(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario_doc(master_seed=1)))
@@ -272,6 +279,46 @@ class TestTransform:
                            "--to", "spherical", "--point", "0,0,0")
         assert code == 2
         assert "zero vector" in err
+
+
+class TestNonFinite:
+    """Non-finite numbers are input errors: exit 3 and no NaN on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gains", "--alpha", "0.2", "--rho", "2", "--bias-var", "nan"],
+        ["gains", "--alpha", "0.2", "--rho", "nan"],
+        ["gains", "--grid", "1,inf:0.2", "--format", "json"],
+        ["transform", "--from", "spherical", "--to", "cartesian", "--point", "nan,0,0"],
+        ["transform", "--from", "cartesian", "--to", "spherical", "--point", "1,inf,0",
+         "--format", "csv"],
+        ["transform", "--from", "enu1", "--to", "enu2", "--point", "1,2,3",
+         "--site1", "nan,0", "--site2", "0,0"],
+        ["transform", "--from", "enu1", "--to", "enu2", "--point", "1,2,3",
+         "--site1", "0,0", "--site2", "0.1,0", "--r-ee", "nan", "--format", "csv"],
+    ])
+    def test_cli_numbers(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 3
+        assert "nan" not in out.lower() and "inf" not in out.lower()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_relative_bias(self, tmp_path, capsys, value):
+        doc = example_config()
+        doc["relative_bias"][1] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # writes the NaN/Infinity tokens
+        code, out, err = run(capsys, "register", "--config", str(path))
+        assert code == 3
+        assert "NaN" not in out and "relative_bias" in err
+
+    def test_simulate_initial_state(self, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["initial_state"] = [float("nan"), 0.0]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "simulate", "--config", str(path))
+        assert code == 3
+        assert "NaN" not in out
 
 
 def test_console_entry_point():

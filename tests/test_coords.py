@@ -120,6 +120,16 @@ class TestSitePosition:
             coords.site_position_eci(coords.GeodeticSite(0.3, math.pi / 2), earth),
             [0.0, 0.0, 6378137.0], atol=1e-8)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_nonfinite_earth_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="finite"):
+            coords.EarthModel(radius, 0.0)
+
+    @pytest.mark.parametrize("longitude", [math.nan, math.inf])
+    def test_nonfinite_longitude_rejected(self, longitude):
+        with pytest.raises(ValueError, match="finite"):
+            coords.GeodeticSite(longitude, 0.0)
+
     def test_ellipsoid_frozen_value(self):
         # frozen from a 50-digit evaluation of the surface-point formula
         earth = coords.EarthModel(6378137.0, 0.08)

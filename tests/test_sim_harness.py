@@ -24,6 +24,11 @@ class TestScenario:
         with pytest.raises(ValueError):
             scenario(burn_in=100, n_steps=100)
 
+    def test_nonfinite_initial_state_rejected(self):
+        for bad in ((float("nan"), 0.0), (0.0, float("inf")), (0.0,)):
+            with pytest.raises(ValueError, match="initial_state"):
+                scenario(initial_state=bad)
+
     def test_default_burn_in_is_half(self):
         assert scenario(n_steps=100).effective_burn_in == 50
         assert scenario(n_steps=100, burn_in=10).effective_burn_in == 10
@@ -68,6 +73,25 @@ class TestMonteCarlo:
         assert (np.abs(large.relative_errors).max()
                 < np.abs(small.relative_errors).max())
 
+    def test_run_draws_do_not_depend_on_run_count(self):
+        for kind in (sim.BIAS, sim.PROCESS, sim.MEASUREMENT):
+            for step in (0, 1, 137):
+                few = sim.stream_draws(42, kind, step, 500, 2.0)
+                many = sim.stream_draws(42, kind, step, 2000, 2.0)
+                np.testing.assert_array_equal(few, many[:500])
+        few = sim.run_monte_carlo(scenario(n_runs=500, n_steps=4))
+        many = sim.run_monte_carlo(scenario(n_runs=2000, n_steps=4))
+        assert few.run_seeds == many.run_seeds[:500]
+
+    def test_streams_are_distinct(self):
+        draws = [sim.stream_draws(42, kind, step, 8, 1.0)
+                 for kind in (sim.BIAS, sim.PROCESS, sim.MEASUREMENT) for step in (0, 1)]
+        assert len({d.tobytes() for d in draws}) == len(draws)
+
+    def test_stream_version_in_report(self):
+        doc = sim.run_monte_carlo(scenario(n_runs=10, n_steps=4)).to_dict()
+        assert doc["stream_version"] == sim.STREAM_VERSION == 2
+
     def test_invalid_gains_rejected(self):
         bad = sim.SimScenario(
             config=ss.SteadyStateConfig.from_rho(2.0),
@@ -83,10 +107,13 @@ class TestMonteCarlo:
         report = sim.run_monte_carlo(sc)
 
         cfg = sc.config
-        rng = np.random.default_rng(sim.run_seed_sequence(sc.master_seed, 0))
-        lam = rng.normal(0.0, np.sqrt(cfg.bias_var))
-        process = rng.normal(0.0, np.sqrt(cfg.process_var), sc.n_steps)
-        meas = rng.normal(0.0, np.sqrt(cfg.meas_var), sc.n_steps)
+
+        def run0(kind, step, var):
+            return sim.stream_draws(sc.master_seed, kind, step, 1, np.sqrt(var))[0]
+
+        lam = run0(sim.BIAS, 0, cfg.bias_var)
+        process = [run0(sim.PROCESS, k, cfg.process_var) for k in range(sc.n_steps)]
+        meas = [run0(sim.MEASUREMENT, k, cfg.meas_var) for k in range(sc.n_steps)]
 
         model = cfg.to_filter_model()
         gain = ss.kbar(sc.gains, cfg.period).reshape(2, 1)

@@ -226,6 +226,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ss.SteadyStateConfig(period=0.0, meas_var=1.0, process_var=1.0)
 
+    @pytest.mark.parametrize("field", ["period", "meas_var", "process_var", "bias_var", "rho"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_rejected(self, field, bad):
+        kwargs = dict(period=1.0, meas_var=1.0, process_var=2.0, bias_var=4.0, rho=2.0)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ss.SteadyStateConfig(**kwargs)
+
 
 class TestGainSweep:
     def test_header_columns(self):
