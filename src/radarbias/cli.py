@@ -70,58 +70,16 @@ def _write_output(text: str, path: str) -> None:
                 fh.write("\n")
 
 
-def _require(doc: dict, key: str, kind, where: str):
-    if key not in doc:
-        raise ConfigError(f"missing field '{key}' in {where}")
-    value = doc[key]
+def _from_doc(factory, doc: dict, what: str):
+    """Build a library object from its document; schema faults become ConfigError."""
     try:
-        return kind(value)
+        return factory(doc)
+    except _DOMAIN_ERRORS:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"bad {what} document: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{key}' in {where}: {exc}") from exc
-
-
-def _float_triple(value, where: str) -> list[float]:
-    try:
-        vec = [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a 3-vector of numbers: {exc}") from exc
-    if len(vec) != 3:
-        raise ConfigError(f"{where} must have exactly 3 entries, got {len(vec)}")
-    if not all(map(math.isfinite, vec)):
-        raise ConfigError(f"{where} must be finite, got {vec}")
-    return vec
-
-
-def _parse_registration_config(doc: dict) -> registration.RegistrationProblem:
-    relative_bias = _float_triple(doc.get("relative_bias"), "relative_bias")
-
-    def sensor(key: str) -> registration.SensorGeometry:
-        sub = doc.get(key)
-        if not isinstance(sub, dict):
-            raise ConfigError(f"missing or malformed object '{key}'")
-        return registration.SensorGeometry(
-            p_t=_require(sub, "p_t", float, key),
-            azimuth=_require(sub, "azimuth", float, key),
-            elevation=_require(sub, "elevation", float, key),
-        )
-
-    wsub = doc.get("weights")
-    if not isinstance(wsub, dict):
-        raise ConfigError("missing or malformed object 'weights'")
-    try:
-        weights = registration.BiasCostWeights(
-            k_r1_sq=_require(wsub, "k_r1_sq", float, "weights"),
-            k_psi1_sq=_require(wsub, "k_psi1_sq", float, "weights"),
-            k_theta1_sq=_require(wsub, "k_theta1_sq", float, "weights"),
-            k_r2_sq=_require(wsub, "k_r2_sq", float, "weights"),
-            k_psi2_sq=_require(wsub, "k_psi2_sq", float, "weights"),
-            k_theta2_sq=_require(wsub, "k_theta2_sq", float, "weights"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return registration.RegistrationProblem(
-        relative_bias=np.array(relative_bias),
-        geom1=sensor("sensor1"), geom2=sensor("sensor2"), weights=weights)
+        raise ConfigError(f"bad {what} document: {exc}") from exc
 
 
 def _solution_record(sol: registration.RegistrationSolution) -> dict:
@@ -141,7 +99,8 @@ def _solution_record(sol: registration.RegistrationSolution) -> dict:
 
 
 def cmd_register(args) -> int:
-    problem = _parse_registration_config(_load_json(args.config))
+    problem = _from_doc(registration.RegistrationProblem.from_dict,
+                        _load_json(args.config), "registration")
     sol = registration.solve_absolute_bias(problem)
     if args.format == "json":
         text = json.dumps(_solution_record(sol), indent=2, allow_nan=False)
@@ -216,12 +175,7 @@ def cmd_simulate(args) -> int:
     doc = _load_json(args.config)
     if args.seed is not None:
         doc["master_seed"] = args.seed
-    try:
-        scenario = sim_harness.SimScenario.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, _DOMAIN_ERRORS):
-            raise
-        raise ConfigError(f"bad scenario document: {exc}") from exc
+    scenario = _from_doc(sim_harness.SimScenario.from_dict, doc, "scenario")
     report = sim_harness.run_monte_carlo(scenario)
     if args.format == "json":
         doc_out = report.to_dict()
@@ -260,7 +214,9 @@ def _parse_site(text: str | None, name: str) -> coords.GeodeticSite:
 
 
 def cmd_transform(args) -> int:
-    point = _float_triple(_parse_float_list(args.point, "point"), "--point")
+    point = _parse_float_list(args.point, "point")
+    if len(point) != 3:
+        raise ConfigError(f"--point must have exactly 3 entries, got {len(point)}")
     src, dst = args.from_frame, args.to_frame
     earth = coords.EarthModel(equatorial_radius_m=args.r_ee, eccentricity=args.eccentricity)
 

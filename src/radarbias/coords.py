@@ -186,31 +186,12 @@ def site_position_eci(site: GeodeticSite, earth: EarthModel = WGS84) -> np.ndarr
 
 
 def enu1_to_enu2(site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
-    """Rotation from site 1's ENU frame to site 2's.
+    """Rotation from site 1's ENU frame to site 2's, through ECI.
 
-    Composed as: rotate down to the equator from latitude 1, rotate along
-    the equator by the longitude difference, rotate up to latitude 2.
     Equals eci_to_enu(site2) @ enu_to_eci(site1); the transpose is the
     reverse rotation.
     """
-    d_lon = site2.longitude - site1.longitude
-    l1, l2 = site1.latitude, site2.latitude
-    down = np.array([
-        [1.0, 0.0, 0.0],
-        [0.0, np.cos(l1), np.sin(l1)],
-        [0.0, -np.sin(l1), np.cos(l1)],
-    ])
-    along = np.array([
-        [np.cos(d_lon), 0.0, -np.sin(d_lon)],
-        [0.0, 1.0, 0.0],
-        [np.sin(d_lon), 0.0, np.cos(d_lon)],
-    ])
-    up = np.array([
-        [1.0, 0.0, 0.0],
-        [0.0, np.cos(l2), -np.sin(l2)],
-        [0.0, np.sin(l2), np.cos(l2)],
-    ])
-    return up @ along @ down
+    return eci_to_enu(site2) @ enu_to_eci(site1)
 
 
 def enu2_to_enu1(site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
@@ -225,14 +206,12 @@ def inter_site_translation_eci(
     return site_position_eci(site2, earth) - site_position_eci(site1, earth)
 
 
-def _inter_site_ld(site1, site2, earth):
-    # rotation rows and translation in extended precision
-    r1 = _eci_to_enu(_LD(site1.longitude), _LD(site1.latitude))
-    r2 = _eci_to_enu(_LD(site2.longitude), _LD(site2.latitude))
-    radius, ecc = _LD(earth.equatorial_radius_m), _LD(earth.eccentricity)
-    d = (_site_position_eci(_LD(site2.longitude), _LD(site2.latitude), radius, ecc)
-         - _site_position_eci(_LD(site1.longitude), _LD(site1.latitude), radius, ecc))
-    return r1, r2, d
+def _site_frame_ld(site: GeodeticSite, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
+    # the site's ECI-to-ENU rotation and ECI origin in extended precision
+    lon, lat = _LD(site.longitude), _LD(site.latitude)
+    origin = _site_position_eci(lon, lat, _LD(earth.equatorial_radius_m),
+                                _LD(earth.eccentricity))
+    return _eci_to_enu(lon, lat), origin
 
 
 def enu1_position_to_enu2(
@@ -243,8 +222,9 @@ def enu1_position_to_enu2(
     Returns an ``np.longdouble`` array; see the module note on precision.
     """
     p = np.asarray(p_enu1, dtype=_LD)
-    r1, r2, d = _inter_site_ld(site1, site2, earth)
-    return -(r2 @ d) + (r2 @ r1.T) @ p
+    r1, origin1 = _site_frame_ld(site1, earth)
+    r2, origin2 = _site_frame_ld(site2, earth)
+    return -(r2 @ (origin2 - origin1)) + (r2 @ r1.T) @ p
 
 
 def enu2_position_to_enu1(
@@ -257,8 +237,9 @@ def enu2_position_to_enu1(
 def enu1_velocity_to_enu2(v_enu1, site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
     """Velocity transform from ENU(1) to ENU(2): the rotation alone."""
     v = np.asarray(v_enu1, dtype=_LD)
-    r1 = _eci_to_enu(_LD(site1.longitude), _LD(site1.latitude))
-    r2 = _eci_to_enu(_LD(site2.longitude), _LD(site2.latitude))
+    # the rotations do not depend on the earth model
+    r1 = _site_frame_ld(site1, WGS84)[0]
+    r2 = _site_frame_ld(site2, WGS84)[0]
     return (r2 @ r1.T) @ v
 
 
@@ -269,17 +250,11 @@ def enu2_velocity_to_enu1(v_enu2, site1: GeodeticSite, site2: GeodeticSite) -> n
 
 def enu_position_to_eci(p_enu, site: GeodeticSite, earth: EarthModel = WGS84) -> np.ndarray:
     """Position in ECI of a point given in a site's ENU frame."""
-    p = np.asarray(p_enu, dtype=_LD)
-    radius, ecc = _LD(earth.equatorial_radius_m), _LD(earth.eccentricity)
-    origin = _site_position_eci(_LD(site.longitude), _LD(site.latitude), radius, ecc)
-    r = _eci_to_enu(_LD(site.longitude), _LD(site.latitude))
-    return origin + r.T @ p
+    r, origin = _site_frame_ld(site, earth)
+    return origin + r.T @ np.asarray(p_enu, dtype=_LD)
 
 
 def eci_position_to_enu(p_eci, site: GeodeticSite, earth: EarthModel = WGS84) -> np.ndarray:
     """Position in a site's ENU frame of a point given in ECI."""
-    p = np.asarray(p_eci, dtype=_LD)
-    radius, ecc = _LD(earth.equatorial_radius_m), _LD(earth.eccentricity)
-    origin = _site_position_eci(_LD(site.longitude), _LD(site.latitude), radius, ecc)
-    r = _eci_to_enu(_LD(site.longitude), _LD(site.latitude))
-    return r @ (p - origin)
+    r, origin = _site_frame_ld(site, earth)
+    return r @ (np.asarray(p_eci, dtype=_LD) - origin)

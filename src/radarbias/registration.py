@@ -18,7 +18,8 @@ Two cost figures are reported on solutions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +45,10 @@ class SensorGeometry:
     p_t: float
     azimuth: float
     elevation: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.p_t, self.azimuth, self.elevation))):
+            raise ValueError(f"sensor geometry must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ class RegistrationProblem:
     """Inputs of one bias-recovery solve.
 
     ``relative_bias`` is the (east, north, up) relative bias in ENU of
-    sensor 1, meters.
+    sensor 1, meters; it must be finite.
     """
 
     relative_bias: np.ndarray
@@ -90,7 +95,33 @@ class RegistrationProblem:
         b = np.asarray(self.relative_bias, dtype=float)
         if b.shape != (3,):
             raise ValueError(f"relative_bias must be a 3-vector, got shape {b.shape}")
+        if not np.all(np.isfinite(b)):
+            raise ValueError(f"relative_bias must be finite, got {b.tolist()}")
         object.__setattr__(self, "relative_bias", b)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "RegistrationProblem":
+        """Problem from the ``register`` config document.
+
+        The document holds ``relative_bias`` (three numbers), ``sensor1``
+        and ``sensor2`` objects with ``p_t``, ``azimuth`` and ``elevation``,
+        and a ``weights`` object with the six BiasCostWeights fields.
+        Missing fields raise KeyError, malformed ones TypeError or
+        ValueError.
+        """
+        def sensor(key: str) -> SensorGeometry:
+            sub = doc[key]
+            return SensorGeometry(p_t=float(sub["p_t"]), azimuth=float(sub["azimuth"]),
+                                  elevation=float(sub["elevation"]))
+
+        weights = doc["weights"]
+        return cls(
+            relative_bias=np.array([float(v) for v in doc["relative_bias"]]),
+            geom1=sensor("sensor1"),
+            geom2=sensor("sensor2"),
+            weights=BiasCostWeights(**{f.name: float(weights[f.name])
+                                       for f in fields(BiasCostWeights)}),
+        )
 
 
 @dataclass(frozen=True)
@@ -165,31 +196,36 @@ def normalized_cost(bias1: SphericalTriple, bias2: SphericalTriple,
     return float(e1**2 @ (1.0 / weights.sensor1()) + e2**2 @ (1.0 / weights.sensor2()))
 
 
+def _constraint(a1, a2, e1, e2, relative_bias) -> np.ndarray:
+    return a2 @ e2 - a1 @ e1 - relative_bias
+
+
+def _kkt_residual(a1, a2, d1, d2, e1, e2, multipliers) -> float:
+    grad = np.concatenate([d1 * e1, d2 * e2])
+    # the constraint gradients stacked over the six increments
+    congrad = np.vstack([-a1.T, a2.T])
+    resid = grad - congrad @ multipliers
+    scale = np.linalg.norm(grad)
+    if scale == 0.0:
+        return float(np.linalg.norm(resid))
+    return float(np.linalg.norm(resid) / scale)
+
+
 def constraint_residual(bias1: SphericalTriple, bias2: SphericalTriple,
                         problem: RegistrationProblem) -> np.ndarray:
     """Constraint value A2 e2 - A1 e1 - relative_bias (zero when feasible)."""
-    a1 = build_A(problem.geom1, "sensor 1")
-    a2 = build_A(problem.geom2, "sensor 2")
-    return a2 @ bias2.as_array() - a1 @ bias1.as_array() - problem.relative_bias
+    return _constraint(build_A(problem.geom1, "sensor 1"), build_A(problem.geom2, "sensor 2"),
+                       bias1.as_array(), bias2.as_array(), problem.relative_bias)
 
 
 def kkt_stationarity_residual(bias1: SphericalTriple, bias2: SphericalTriple,
                               multipliers, problem: RegistrationProblem) -> float:
     """Norm of grad(objective) minus the multiplier combination of constraint
     gradients, relative to the objective gradient norm."""
-    a1 = build_A(problem.geom1, "sensor 1")
-    a2 = build_A(problem.geom2, "sensor 2")
-    e1 = bias1.as_array()
-    e2 = bias2.as_array()
-    grad = np.concatenate([problem.weights.sensor1() * e1,
-                           problem.weights.sensor2() * e2])
-    # the constraint gradients stacked over the six increments
-    congrad = np.vstack([-a1.T, a2.T])
-    resid = grad - congrad @ np.asarray(multipliers, dtype=float)
-    scale = np.linalg.norm(grad)
-    if scale == 0.0:
-        return float(np.linalg.norm(resid))
-    return float(np.linalg.norm(resid) / scale)
+    return _kkt_residual(build_A(problem.geom1, "sensor 1"), build_A(problem.geom2, "sensor 2"),
+                         problem.weights.sensor1(), problem.weights.sensor2(),
+                         bias1.as_array(), bias2.as_array(),
+                         np.asarray(multipliers, dtype=float))
 
 
 def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:
@@ -225,13 +261,13 @@ def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:
 
     bias1 = SphericalTriple.from_array(e1)
     bias2 = SphericalTriple.from_array(e2)
-    residual = a2 @ e2 - a1 @ e1 - problem.relative_bias
     return RegistrationSolution(
         bias1=bias1,
         bias2=bias2,
         cost=normalized_cost(bias1, bias2, problem.weights),
         objective=evaluate_cost(bias1, bias2, problem.weights),
         multipliers=multipliers,
-        constraint_residual=float(np.linalg.norm(residual)),
-        kkt_residual=kkt_stationarity_residual(bias1, bias2, multipliers, problem),
+        constraint_residual=float(np.linalg.norm(
+            _constraint(a1, a2, e1, e2, problem.relative_bias))),
+        kkt_residual=_kkt_residual(a1, a2, d1, d2, e1, e2, multipliers),
     )

@@ -46,14 +46,17 @@ class SteadyStateConfig:
                    0.0 if self.rho is None else self.rho)
         if not all(map(math.isfinite, numbers)):
             raise ValueError("period, variances and rho must be finite")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not (self.period > 0 and self.period * self.period > 0):
+            raise ValueError(f"period {self.period} must be positive with a nonzero square")
         if self.meas_var < 0 or self.process_var < 0 or self.bias_var < 0:
             raise ValueError("variances must be nonnegative")
         if self.meas_var == 0:
             derived = 0.0 if self.process_var == 0 else None
         else:
-            derived = self.process_var * self.period**2 / self.meas_var
+            derived = self.process_var * (self.period * self.period) / self.meas_var
+            # inf * 0 is nan, which no tolerance comparison below would catch
+            if not math.isfinite(derived):
+                raise ValueError(f"process_var*period^2/meas_var = {derived} is not finite")
         if self.rho is None:
             if derived is None:
                 raise ValueError("rho is required when meas_var is 0 and process_var > 0")
@@ -71,8 +74,14 @@ class SteadyStateConfig:
         """Config with the process noise derived from the noise ratio."""
         if rho < 0:
             raise ValueError("rho must be nonnegative")
-        return cls(period=period, meas_var=meas_var,
-                   process_var=rho * meas_var / period**2, bias_var=bias_var, rho=rho)
+        if not period * period > 0:
+            raise ValueError(f"period^2 = {period * period} must be positive")
+        return cls(period=period, meas_var=meas_var, bias_var=bias_var, rho=rho,
+                   process_var=rho * meas_var / (period * period))
+
+    def transition_matrix(self) -> np.ndarray:
+        """Constant-velocity state transition Phi = [[1, T], [0, 1]]."""
+        return np.array([[1.0, self.period], [0.0, 1.0]])
 
     def process_noise_matrix(self) -> np.ndarray:
         return np.array([[0.0, 0.0], [0.0, self.process_var]])
@@ -80,7 +89,7 @@ class SteadyStateConfig:
     def to_filter_model(self, bias_mean: float = 0.0) -> filter_core.BiasFilterModel:
         """The equivalent two-state bias filter model (scalar additive bias)."""
         return filter_core.BiasFilterModel(
-            transition=np.array([[1.0, self.period], [0.0, 1.0]]),
+            transition=self.transition_matrix(),
             output=np.array([[1.0, 0.0]]),
             bias_matrix=np.array([[1.0]]),
             process_noise=self.process_noise_matrix(),
@@ -168,30 +177,30 @@ def solve_beta(alpha: float, rho: float) -> float:
     Solves the cubic factor 2 b^3 + rho ((a^2-2a+2) b + a^2 (a-2)) = 0.
     Its linear coefficient rho (a^2-2a+2) = rho ((a-1)^2 + 1) is positive
     for rho > 0, so the cubic is strictly increasing and has exactly one
-    real root; it is computed in closed form and polished with a Newton
-    step. The rho-independent quartic root 4 - 2a is never valid. Raises
-    NoValidRoot when the root fails validation (reporting it), e.g. for
-    alpha outside (0, 2) where the root is nonpositive.
+    real root. With the depressed form b^3 + p b + q, p = rho c1 / 2 and
+    q = rho c0 / 2, that root is the hyperbolic closed form
+
+        b = -2 r sinh(asinh(1.5 c0 / (c1 r)) / 3),  r = sqrt(p / 3),
+
+    which never cubes p or q, so it holds for every positive finite rho;
+    r is formed as sqrt(rho) sqrt(c1 / 6) so it does not underflow. The
+    root is polished with Newton steps on the cubic divided by
+    max(rho, 1). The rho-independent quartic root 4 - 2a is never valid.
+    Raises NoValidRoot when the root fails the gain checks (reporting it),
+    e.g. for alpha outside (0, 2) where the root is nonpositive.
     """
     if not rho > 0:
         raise NoValidRoot(f"noise ratio must be positive, got {rho}")
     c1 = alpha * alpha - 2 * alpha + 2
     c0 = alpha * alpha * (alpha - 2)
-    # depressed cubic b^3 + p b + q with p > 0: single real root
-    p = rho * c1 / 2.0
-    q = rho * c0 / 2.0
-    disc = math.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    beta = float(np.cbrt(-q / 2.0 + disc) + np.cbrt(-q / 2.0 - disc))
+    r = math.sqrt(rho) * math.sqrt(c1 / 6.0)
+    beta = -2.0 * r * math.sinh(math.asinh(1.5 * c0 / (c1 * r)) / 3.0)
+    scale = max(rho, 1.0)
     for _ in range(3):
-        f = 2 * beta**3 + rho * (c1 * beta + c0)
-        beta -= f / (6 * beta * beta + rho * c1)
+        f = 2 * beta * beta * beta / scale + rho / scale * (c1 * beta + c0)
+        beta -= f / (6 * beta * beta / scale + rho / scale * c1)
 
-    gains = SteadyStateGains(alpha=alpha, beta=beta)
-    eigs = fbar_eigenvalues(gains)
-    ok = (abs(alpha) > _ZERO_TOL and beta > _ZERO_TOL
-          and abs(beta - excluded_root(alpha)) > _ZERO_TOL
-          and max(abs(e) for e in eigs) < 1.0)
-    if not ok:
+    if not all(_gain_checks(SteadyStateGains(alpha=alpha, beta=beta)).values()):
         raise NoValidRoot(
             f"no valid velocity gain for alpha={alpha}, rho={rho}",
             roots=(beta, excluded_root(alpha)))
@@ -211,7 +220,7 @@ def steady_mn(gains: SteadyStateGains, period: float, meas_var: float) -> np.nda
             f"alpha (4 - 2 alpha - beta) = {den} vanishes for alpha={a}, beta={b}")
     return (meas_var / den) * np.array([
         [2 * a * a + 2 * b - 3 * a * b, b * (2 * a - b) / t],
-        [b * (2 * a - b) / t, 2 * b * b / t**2],
+        [b * (2 * a - b) / t, 2 * b * b / (t * t)],
     ])
 
 
@@ -267,22 +276,14 @@ def predicted_covariances(gains: SteadyStateGains,
     """Closed-form steady covariances for a gain pair and noise levels.
 
     m_bar is the updated noise covariance (measurement plus process
-    parts); m_dot its one-step prediction; s_dot adds the bias variance to
-    the position entry only, since the predicted bias sensitivity vector
-    Phi dbar is (-1, 0).
+    parts); m_dot its one-step prediction Phi m_bar Phi' + Q; s_dot adds
+    the bias variance to the position entry only, since the predicted
+    bias sensitivity vector Phi dbar is (-1, 0).
     """
-    a, b, t = gains.alpha, gains.beta, config.period
-    m_bar = (steady_mn(gains, t, config.meas_var)
-             + steady_mq(gains, t, config.process_var))
-    den_n = a * (4.0 - 2.0 * a - b)
-    den_q = -4 * a * b + a * b * b + 2 * a * a * b
-    m_dot = (config.meas_var / den_n) * np.array([
-        [2 * a * a + 2 * b + a * b, b * (2 * a + b) / t],
-        [b * (2 * a + b) / t, 2 * b * b / t**2],
-    ]) + (config.process_var / den_q) * np.array([
-        [t * t * (-2 + a), t * (-2 * a - b + a * b + a * a)],
-        [t * (-2 * a - b + a * b + a * a), -2 * b + 2 * a * b - 2 * a**2 + a**3],
-    ]) + config.process_noise_matrix()
+    m_bar = (steady_mn(gains, config.period, config.meas_var)
+             + steady_mq(gains, config.period, config.process_var))
+    phi = config.transition_matrix()
+    m_dot = phi @ m_bar @ phi.T + config.process_noise_matrix()
     s_dot = m_dot + np.array([[config.bias_var, 0.0], [0.0, 0.0]])
     return SteadyStateCovariances(m_bar=m_bar, m_dot=m_dot, s_dot=s_dot)
 
@@ -307,6 +308,18 @@ class GainValidation:
         return tuple(name for name, passed in self.__dict__.items() if not passed)
 
 
+def _gain_checks(gains: SteadyStateGains) -> dict[str, bool]:
+    # the three denominator conditions and closed-loop stability, keyed by
+    # their GainValidation field names
+    a, b = gains.alpha, gains.beta
+    return {
+        "alpha_nonzero": abs(a) > _ZERO_TOL,
+        "beta_nonzero": abs(b) > _ZERO_TOL,
+        "beta_not_excluded": abs(b - excluded_root(a)) > _ZERO_TOL,
+        "stable": max(abs(e) for e in fbar_eigenvalues(gains)) < 1.0,
+    }
+
+
 def validate_gains(gains: SteadyStateGains, config: SteadyStateConfig) -> GainValidation:
     """Check the denominator conditions, stability and covariance definiteness.
 
@@ -315,29 +328,17 @@ def validate_gains(gains: SteadyStateGains, config: SteadyStateConfig) -> GainVa
     when its driving variance is positive (a zero-variance block is
     legitimately zero).
     """
-    a, b = gains.alpha, gains.beta
-    alpha_nonzero = abs(a) > _ZERO_TOL
-    beta_nonzero = abs(b) > _ZERO_TOL
-    beta_not_excluded = abs(b - excluded_root(a)) > _ZERO_TOL
-    stable = max(abs(e) for e in fbar_eigenvalues(gains)) < 1.0
-
-    conditions = alpha_nonzero and beta_nonzero and beta_not_excluded
+    checks = _gain_checks(gains)
     mn_pd = mq_pd = False
-    if conditions:
+    if checks["alpha_nonzero"] and checks["beta_nonzero"] and checks["beta_not_excluded"]:
         mn = steady_mn(gains, config.period, config.meas_var)
         mq = steady_mq(gains, config.period, config.process_var)
         mn_pd = bool(np.all(np.linalg.eigvalsh(mn) > 0)) if config.meas_var > 0 \
             else bool(np.all(np.linalg.eigvalsh(mn) > -_ZERO_TOL))
         mq_pd = bool(np.all(np.linalg.eigvalsh(mq) > 0)) if config.process_var > 0 \
             else bool(np.all(np.linalg.eigvalsh(mq) > -_ZERO_TOL))
-    return GainValidation(
-        alpha_nonzero=alpha_nonzero,
-        beta_nonzero=beta_nonzero,
-        beta_not_excluded=beta_not_excluded,
-        stable=stable,
-        mn_positive_definite=mn_pd,
-        mq_positive_definite=mq_pd,
-    )
+    return GainValidation(**checks, mn_positive_definite=mn_pd,
+                          mq_positive_definite=mq_pd)
 
 
 @dataclass(frozen=True)

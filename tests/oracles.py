@@ -86,6 +86,32 @@ def constraint_rows(geom1, geom2):
     ])
 
 
+def enu_rotation_chain(site1, site2):
+    """ENU(1) -> ENU(2) rotation as three literal rotations.
+
+    Rotate down to the equator from latitude 1, along the equator by the
+    longitude difference, then up to latitude 2.
+    """
+    d_lon = site2.longitude - site1.longitude
+    l1, l2 = site1.latitude, site2.latitude
+    down = np.array([
+        [1.0, 0.0, 0.0],
+        [0.0, np.cos(l1), np.sin(l1)],
+        [0.0, -np.sin(l1), np.cos(l1)],
+    ])
+    along = np.array([
+        [np.cos(d_lon), 0.0, -np.sin(d_lon)],
+        [0.0, 1.0, 0.0],
+        [np.sin(d_lon), 0.0, np.cos(d_lon)],
+    ])
+    up = np.array([
+        [1.0, 0.0, 0.0],
+        [0.0, np.cos(l2), -np.sin(l2)],
+        [0.0, np.sin(l2), np.cos(l2)],
+    ])
+    return up @ along @ down
+
+
 def minimize_weighted_quadratic(weights6, rows, rhs, iterations=40):
     """Method-of-multipliers minimizer of sum(w_i e_i^2)/2 s.t. rows @ e = rhs.
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from radarbias import registration
 from radarbias.cli import main
 
 import oracles
@@ -101,6 +102,18 @@ class TestRegister:
         code, _, _ = run(capsys, "register", "--config", str(path))
         assert code == 3
 
+    def test_from_dict_matches_hand_built_problem(self):
+        ex = oracles.REGISTRATION_EXAMPLES["a"]
+        by_hand = registration.RegistrationProblem(
+            relative_bias=np.array(ex["relative_bias"]),
+            geom1=registration.SensorGeometry(*ex["geom1"]),
+            geom2=registration.SensorGeometry(*ex["geom2"]),
+            weights=registration.BiasCostWeights(**oracles.EXAMPLE_WEIGHTS))
+        want = registration.solve_absolute_bias(by_hand)
+        got = registration.solve_absolute_bias(
+            registration.RegistrationProblem.from_dict(example_config("a")))
+        assert got.bias1 == want.bias1 and got.bias2 == want.bias2
+
     def test_output_file(self, tmp_path, capsys):
         cfg = tmp_path / "a.json"
         cfg.write_text(json.dumps(example_config()))
@@ -149,6 +162,11 @@ class TestGains:
         code, _, err = run(capsys, "gains", "--rho", "2", "--alpha", "0")
         assert code == 2
         assert "error:" in err
+
+    def test_large_noise_ratio(self, capsys):
+        code, out, _ = run(capsys, "gains", "--rho", "1e300", "--alpha", "1.9")
+        assert code == 0
+        assert float(next(csv.DictReader(io.StringIO(out)))["beta"]) == 0.199448
 
     def test_missing_arguments_exit_three(self, capsys):
         code, _, _ = run(capsys, "gains", "--rho", "2")
@@ -295,6 +313,8 @@ class TestNonFinite:
          "--site1", "nan,0", "--site2", "0,0"],
         ["transform", "--from", "enu1", "--to", "enu2", "--point", "1,2,3",
          "--site1", "0,0", "--site2", "0.1,0", "--r-ee", "nan", "--format", "csv"],
+        ["gains", "--rho", "2", "--alpha", "0.2", "--period", "1e200", "--meas-var", "1e-200"],
+        ["gains", "--rho", "2", "--alpha", "0.2", "--period", "1e-200"],
     ])
     def test_cli_numbers(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
@@ -310,6 +330,16 @@ class TestNonFinite:
         code, out, err = run(capsys, "register", "--config", str(path))
         assert code == 3
         assert "NaN" not in out and "relative_bias" in err
+
+    @pytest.mark.parametrize("field", ["p_t", "azimuth"])
+    def test_sensor_geometry(self, tmp_path, capsys, field):
+        doc = example_config()
+        doc["sensor1"][field] = float("nan")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "register", "--config", str(path))
+        assert code == 3
+        assert "NaN" not in out and "finite" in err
 
     def test_simulate_initial_state(self, tmp_path, capsys):
         doc = scenario_doc()

@@ -62,6 +62,14 @@ class TestBuildA:
         with pytest.raises(SingularGeometry):
             reg.build_A(reg.SensorGeometry(1e4, 0.0, np.pi / 2))
 
+    @pytest.mark.parametrize("field", ["p_t", "azimuth", "elevation"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_geometry_rejected(self, field, bad):
+        values = dict(p_t=25000.0, azimuth=0.0, elevation=0.5)
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reg.SensorGeometry(**values)
+
 
 class TestRelativeBias:
     def test_zero(self):
@@ -147,6 +155,13 @@ class TestConstraint:
             got = reg.constraint_residual(SphericalTriple.from_array(e1),
                                           SphericalTriple.from_array(e2), problem)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_relative_bias_rejected(self, bad):
+        problem = make_problem("a")
+        with pytest.raises(ValueError, match="relative_bias"):
+            reg.RegistrationProblem(np.array([1.0, bad, 0.0]), problem.geom1,
+                                    problem.geom2, problem.weights)
 
 
 class TestSolve:
