@@ -29,6 +29,7 @@ from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
     InvalidGains,
+    NonFiniteCovariance,
     NoValidRoot,
     SingularGeometry,
     SingularInnovation,
@@ -58,6 +59,7 @@ from .steady_state import (
     fbar_eigenvalues,
     gain_polynomial,
     gain_sweep,
+    gain_table,
     predicted_covariances,
     solve_beta,
     steady_mn,

@@ -1,7 +1,7 @@
 """Command-line front end: registration solve, gain tables, Monte-Carlo, transforms.
 
 Exit codes: 0 success, 2 domain error (singular geometry or system, no
-valid gain root, invalid gains), 3 input error (malformed or
+valid gain root, invalid gains, overflowing covariance), 3 input error (malformed or
 schema-violating config, unknown frame pair). Numbers are printed with six
 significant digits; downstream comparisons should use tolerances.
 """
@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     DegenerateDenominator,
     InvalidGains,
+    NonFiniteCovariance,
     NoValidRoot,
     SingularGeometry,
     SingularSystem,
@@ -29,7 +30,7 @@ from .errors import (
 )
 
 _DOMAIN_ERRORS = (SingularGeometry, SingularSystem, NoValidRoot, InvalidGains,
-                  DegenerateDenominator, ZeroVector)
+                  DegenerateDenominator, NonFiniteCovariance, ZeroVector)
 
 
 def _fmt(x: float) -> float:
@@ -149,24 +150,21 @@ def cmd_gains(args) -> int:
 
     if args.period <= 0 or args.meas_var <= 0 or args.bias_var < 0:
         raise ConfigError("period and meas-var must be positive, bias-var nonnegative")
-    rows = steady_state.gain_sweep(rhos, alphas, period=args.period,
-                                   meas_var=args.meas_var, bias_var=args.bias_var)
+    table = steady_state.gain_table(rhos, alphas, period=args.period,
+                                    meas_var=args.meas_var, bias_var=args.bias_var)
+    columns = steady_state.GAIN_SWEEP_HEADER + ("excluded_root",)
     if args.format == "json":
-        text = json.dumps([{
-            "rho": _fmt(r.rho), "alpha": _fmt(r.alpha), "beta": _fmt(r.beta),
-            "eig1_mod": _fmt(r.eig1_mod), "eig2_mod": _fmt(r.eig2_mod),
-            "S11dot": _fmt(r.s11_dot), "S21dot": _fmt(r.s21_dot),
-            "excluded_root": _fmt(r.excluded_root),
-        } for r in rows], indent=2, allow_nan=False)
+        text = json.dumps([dict(zip(columns, map(_fmt, row))) for row in table.tolist()],
+                          indent=2, allow_nan=False)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(list(steady_state.GAIN_SWEEP_HEADER) + ["excluded_root"])
-        for r in rows:
-            writer.writerow([f"{v:.6g}" for v in (
-                r.rho, r.alpha, r.beta, r.eig1_mod, r.eig2_mod,
-                r.s11_dot, r.s21_dot, r.excluded_root)])
-        text = buf.getvalue()
+        # what csv.writer emits for these fields (none needs quoting, every
+        # line ends in \r\n), formatted a block of rows at a time
+        row_format = ",".join(["%.6g"] * len(columns)) + "\r\n"
+        lines = [",".join(columns) + "\r\n"]
+        for start in range(0, len(table), 512):
+            block = table[start:start + 512]
+            lines.append(row_format * len(block) % tuple(block.ravel().tolist()))
+        text = "".join(lines)
     _write_output(text, args.output)
     return 0
 

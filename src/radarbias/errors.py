@@ -36,6 +36,10 @@ class DegenerateDenominator(ValueError):
     """A closed-form steady-state covariance denominator vanishes."""
 
 
+class NonFiniteCovariance(ValueError):
+    """A closed-form steady-state covariance entry overflows."""
+
+
 class NoValidRoot(ValueError):
     """No real root of the gain cubic passes validation."""
 

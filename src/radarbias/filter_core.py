@@ -21,7 +21,7 @@ estimate and the mean bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -153,7 +153,11 @@ def optimal_gain(model: BiasFilterModel, state: FilterState) -> np.ndarray:
     noise and C the bias cross term; with zero bias this reduces to the
     classical gain S H' (H S H' + N)^-1.
     """
-    output_eff, noise_eff, _, cross = _measurement_pieces(model, state)
+    return _optimal_gain(state, _measurement_pieces(model, state))
+
+
+def _optimal_gain(state: FilterState, pieces) -> np.ndarray:
+    output_eff, noise_eff, _, cross = pieces
     bracket = (output_eff @ state.total_cov @ output_eff.T + noise_eff
                + output_eff @ cross + cross.T @ output_eff.T)
     bracket = _symmetrize(np.atleast_2d(bracket))
@@ -177,21 +181,29 @@ def measurement_update(model: BiasFilterModel, state: FilterState,
     """
     if state.gain is None:
         raise ValueError("predicted state carries no gain; set state.gain first")
-    k_gain = np.atleast_2d(np.asarray(state.gain, dtype=float))
-    n, q, _, _ = model.dims
+    return _measurement_update(model, state, state.gain, z,
+                               _measurement_pieces(model, state))
+
+
+def _measurement_update(model: BiasFilterModel, state: FilterState, gain, z,
+                        pieces) -> FilterState:
+    # the update with ``gain``, which the returned state carries
+    k_gain = np.atleast_2d(np.asarray(gain, dtype=float))
+    q, n = model.output.shape
     if k_gain.shape != (n, q):
         raise DimensionMismatch(f"gain has shape {k_gain.shape}, expected {(n, q)}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (q,):
         raise DimensionMismatch(f"measurement has shape {z.shape}, expected {(q,)}")
 
-    output_eff, noise_eff, w_jb, cross = _measurement_pieces(model, state)
+    output_eff, noise_eff, w_jb, cross = pieces
     predicted_meas = model.output @ state.x + model.bias_matrix @ np.atleast_1d(
         model.bias_fn(state.x, model.bias_mean))
     x = state.x + k_gain @ (z - predicted_meas)
 
-    l_classic = np.eye(n) - k_gain @ model.output            # I - K H
-    l_eff = np.eye(n) - k_gain @ output_eff                  # I - K (H + W du/dx)
+    eye = np.eye(n)
+    l_classic = eye - k_gain @ model.output                  # I - K H
+    l_eff = eye - k_gain @ output_eff                        # I - K (H + W du/dx)
 
     # M next: the Q term propagates through I - K H (the bias function sees
     # the noise-free prediction), the rest through the effective closure.
@@ -206,8 +218,7 @@ def measurement_update(model: BiasFilterModel, state: FilterState,
         + k_gain @ noise_eff @ k_gain.T
         - l_eff @ cross @ k_gain.T
         - k_gain @ cross.T @ l_eff.T)
-    return FilterState(x=x, noise_cov=m_cov, bias_sens=d, total_cov=s_cov,
-                       gain=state.gain)
+    return FilterState(x=x, noise_cov=m_cov, bias_sens=d, total_cov=s_cov, gain=gain)
 
 
 def step(model: BiasFilterModel, state: FilterState, z,
@@ -215,9 +226,12 @@ def step(model: BiasFilterModel, state: FilterState, z,
     """One predict-and-update cycle from a posterior state.
 
     Uses the supplied fixed gain, or the trace-optimal gain of the
-    predicted covariance when none is given.
+    predicted covariance when none is given. Equals ``time_update``, then
+    ``optimal_gain`` (or the fixed gain) and ``measurement_update``, with
+    the bias function's Jacobians evaluated once.
     """
     predicted = time_update(model, state)
+    pieces = _measurement_pieces(model, predicted)
     if gain is None:
-        gain = optimal_gain(model, predicted)
-    return measurement_update(model, replace(predicted, gain=np.asarray(gain, dtype=float)), z)
+        gain = _optimal_gain(predicted, pieces)
+    return _measurement_update(model, predicted, np.asarray(gain, dtype=float), z, pieces)

@@ -7,23 +7,56 @@ steady-state covariance blocks (solutions of the discrete Lyapunov
 equations driven by the measurement and process noise), the quartic
 relating alpha and beta through the noise ratio rho = q22 T^2 / N, its
 root solver, and validity checks on candidate gains.
+
+Each closed form is written once, elementwise over arrays. The scalar
+entry points evaluate it on numpy scalars; ``gain_table`` evaluates a
+whole (rho, alpha) grid in one pass with the same code and checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import filter_core
-from .errors import DegenerateDenominator, NoValidRoot
+from .errors import DegenerateDenominator, NonFiniteCovariance, NoValidRoot
 
 #: columns of the gain-sweep table (the CLI appends excluded_root)
 GAIN_SWEEP_HEADER = ("rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "S21dot")
 
 _ZERO_TOL = 1e-12
 _RHO_CONSISTENCY_RTOL = 1e-9
+
+
+def _transition(period) -> np.ndarray:
+    return np.array([[1.0, period], [0.0, 1.0]])
+
+
+def _points(*values):
+    # numpy scalars, on which the array code runs unchanged
+    return tuple(np.float64(v) for v in values)
+
+
+def _raise_first(faults) -> None:
+    """Raise the error of the first failing point, in array order.
+
+    ``faults`` lists ``(mask, error)`` pairs in the order the checks run
+    on one point. At the first point where any mask is set, the first
+    failing check's ``error(at)`` is raised; ``at(x)`` reads that point's
+    entry of an array or scalar ``x`` as a float.
+    """
+    failing = np.ravel(functools.reduce(operator.or_, [mask for mask, _ in faults]))
+    if failing.any():
+        i = int(np.argmax(failing))
+
+        def at(x):
+            return float(np.ravel(x)[i])
+
+        raise next(error(at) for mask, error in faults if np.ravel(mask)[i])
 
 
 @dataclass(frozen=True)
@@ -81,7 +114,7 @@ class SteadyStateConfig:
 
     def transition_matrix(self) -> np.ndarray:
         """Constant-velocity state transition Phi = [[1, T], [0, 1]]."""
-        return np.array([[1.0, self.period], [0.0, 1.0]])
+        return _transition(self.period)
 
     def process_noise_matrix(self) -> np.ndarray:
         return np.array([[0.0, 0.0], [0.0, self.process_var]])
@@ -131,16 +164,30 @@ def cbar(gains: SteadyStateGains, period: float) -> np.ndarray:
     return -kbar(gains, period)
 
 
+def _eigenvalues(a, b):
+    # fbar's eigenvalues base +- sqrt(radicand) / 2, elementwise, as the real
+    # parts (re1, re2) and the imaginary part im of the first (the second's
+    # is -im); im is nonzero when the radicand is negative
+    radicand = 2 * a * b - 4 * b + a * a + b * b
+    base = 1.0 - (a + b) / 2.0
+    half = np.sqrt(np.maximum(radicand, 0.0)) / 2.0
+    return base + half, base - half, np.sqrt(np.maximum(-radicand, 0.0)) / 2.0
+
+
+def _moduli(re1, re2, im):
+    # the eigenvalue moduli, as hypot like Python's abs(complex)
+    return np.hypot(re1, im), np.hypot(re2, im)
+
+
 def fbar_eigenvalues(gains: SteadyStateGains) -> tuple[complex, complex]:
     """Eigenvalues 1 - (a+b)/2 +- sqrt(2ab - 4b + a^2 + b^2)/2 of fbar.
 
     Independent of the period; complex pair when the radicand is negative.
     Stability requires both moduli below one.
     """
-    a, b = gains.alpha, gains.beta
-    root = complex(2 * a * b - 4 * b + a * a + b * b) ** 0.5
-    base = 1.0 - (a + b) / 2.0
-    return base + root / 2.0, base - root / 2.0
+    with np.errstate(all="ignore"):
+        re1, re2, im = _eigenvalues(*_points(gains.alpha, gains.beta))
+    return complex(re1, im), complex(re2, -im)
 
 
 def gain_polynomial(alpha: float, beta: float, rho: float) -> float:
@@ -171,6 +218,32 @@ def excluded_root(alpha: float) -> float:
     return 4.0 - 2.0 * alpha
 
 
+def _beta_root(alpha, rho):
+    # the cubic's single real root and its Newton polish (see solve_beta),
+    # elementwise and unchecked
+    c1 = alpha * alpha - 2 * alpha + 2
+    c0 = alpha * alpha * (alpha - 2)
+    r = np.sqrt(rho) * np.sqrt(c1 / 6.0)
+    beta = -2.0 * r * np.sinh(np.arcsinh(1.5 * c0 / (c1 * r)) / 3.0)
+    scale = np.maximum(rho, 1.0)
+    for _ in range(3):
+        f = 2 * beta * beta * beta / scale + rho / scale * (c1 * beta + c0)
+        beta = beta - f / (6 * beta * beta / scale + rho / scale * c1)
+    return beta
+
+
+def _beta_faults(alpha, rho, beta, eigenvalues=None):
+    # solve_beta's two checks, as faults for _raise_first
+    checks = _gain_checks(alpha, beta, eigenvalues)
+    return [
+        (~(rho > 0), lambda at: NoValidRoot(
+            f"noise ratio must be positive, got {at(rho)}")),
+        (~functools.reduce(operator.and_, checks.values()), lambda at: NoValidRoot(
+            f"no valid velocity gain for alpha={at(alpha)}, rho={at(rho)}",
+            roots=(at(beta), excluded_root(at(alpha))))),
+    ]
+
+
 def solve_beta(alpha: float, rho: float) -> float:
     """Velocity gain consistent with a position gain and noise ratio.
 
@@ -189,39 +262,61 @@ def solve_beta(alpha: float, rho: float) -> float:
     Raises NoValidRoot when the root fails the gain checks (reporting it),
     e.g. for alpha outside (0, 2) where the root is nonpositive.
     """
-    if not rho > 0:
-        raise NoValidRoot(f"noise ratio must be positive, got {rho}")
-    c1 = alpha * alpha - 2 * alpha + 2
-    c0 = alpha * alpha * (alpha - 2)
-    r = math.sqrt(rho) * math.sqrt(c1 / 6.0)
-    beta = -2.0 * r * math.sinh(math.asinh(1.5 * c0 / (c1 * r)) / 3.0)
-    scale = max(rho, 1.0)
-    for _ in range(3):
-        f = 2 * beta * beta * beta / scale + rho / scale * (c1 * beta + c0)
-        beta -= f / (6 * beta * beta / scale + rho / scale * c1)
+    a, r = _points(alpha, rho)
+    with np.errstate(all="ignore"):
+        beta = _beta_root(a, r)
+        faults = _beta_faults(a, r, beta)
+    _raise_first(faults)
+    return float(beta)
 
-    if not all(_gain_checks(SteadyStateGains(alpha=alpha, beta=beta)).values()):
-        raise NoValidRoot(
-            f"no valid velocity gain for alpha={alpha}, rho={rho}",
-            roots=(beta, excluded_root(alpha)))
-    return beta
+
+def _block(scale, d11, d21, d22):
+    # scale * [[d11, d21], [d21, d22]] as a stack of 2 x 2 matrices, one
+    # per point of scale
+    block = np.empty(np.shape(scale) + (2, 2))
+    block[..., 0, 0], block[..., 1, 0], block[..., 0, 1], block[..., 1, 1] = d11, d21, d21, d22
+    return scale[..., None, None] * block
+
+
+def _degenerate(den, label, a, b):
+    # a vanishing covariance denominator, as a fault for _raise_first
+    return (np.abs(den) < _ZERO_TOL, lambda at: DegenerateDenominator(
+        f"{label} = {at(den)} vanishes for alpha={at(a)}, beta={at(b)}"))
+
+
+def _overflow(stack, a, b):
+    # a 2 x 2 covariance with an entry that is not finite, as a
+    # fault for _raise_first
+    return (~np.isfinite(stack).all(axis=(-2, -1)), lambda at: NonFiniteCovariance(
+        f"steady covariance overflows for alpha={at(a)}, beta={at(b)}"))
+
+
+def _mn_block(a, b, t, meas_var):
+    # steady_mn's block and its denominator check, elementwise
+    den = a * (4.0 - 2.0 * a - b)
+    return (_block(meas_var / den, 2 * a * a + 2 * b - 3 * a * b,
+                   b * (2 * a - b) / t, 2 * b * b / (t * t)),
+            _degenerate(den, "alpha (4 - 2 alpha - beta)", a, b))
+
+
+def _mq_block(a, b, t, process_var):
+    # steady_mq's block and its denominator check, elementwise
+    a2, a3 = a * a, a * a * a
+    den = -4 * a * b + a * b * b + 2 * a2 * b
+    return (_block(process_var / den, t * t * (-2 + 5 * a - 4 * a2 + a3),
+                   t * (-2 * a + b - a * b + 3 * a2 - a3),
+                   -2 * b + 2 * a * b - 2 * a2 + a3),
+            _degenerate(den, "alpha beta (beta + 2 alpha - 4)", a, b))
 
 
 def steady_mn(gains: SteadyStateGains, period: float, meas_var: float) -> np.ndarray:
     """Measurement-noise part of the steady updated covariance.
 
     Closed-form fixed point of X = F X F' + K N K'; denominator
-    alpha (4 - 2 alpha - beta) must not vanish.
+    alpha (4 - 2 alpha - beta) must not vanish (DegenerateDenominator).
+    Raises NonFiniteCovariance when an entry overflows.
     """
-    a, b, t = gains.alpha, gains.beta, period
-    den = a * (4.0 - 2.0 * a - b)
-    if abs(den) < _ZERO_TOL:
-        raise DegenerateDenominator(
-            f"alpha (4 - 2 alpha - beta) = {den} vanishes for alpha={a}, beta={b}")
-    return (meas_var / den) * np.array([
-        [2 * a * a + 2 * b - 3 * a * b, b * (2 * a - b) / t],
-        [b * (2 * a - b) / t, 2 * b * b / (t * t)],
-    ])
+    return _one_block(_mn_block, gains, period, meas_var)
 
 
 def steady_mq(gains: SteadyStateGains, period: float, process_var: float) -> np.ndarray:
@@ -229,19 +324,18 @@ def steady_mq(gains: SteadyStateGains, period: float, process_var: float) -> np.
 
     Closed-form fixed point of X = F X F' + L Q L'; denominator
     alpha beta (beta + 2 alpha - 4) must not vanish (the three validity
-    conditions on the gains).
+    conditions on the gains; DegenerateDenominator). Raises
+    NonFiniteCovariance when an entry overflows.
     """
-    a, b, t = gains.alpha, gains.beta, period
-    den = -4 * a * b + a * b * b + 2 * a * a * b
-    if abs(den) < _ZERO_TOL:
-        raise DegenerateDenominator(
-            f"alpha beta (beta + 2 alpha - 4) = {den} vanishes for alpha={a}, beta={b}")
-    return (process_var / den) * np.array([
-        [t * t * (-2 + 5 * a - 4 * a**2 + a**3),
-         t * (-2 * a + b - a * b + 3 * a**2 - a**3)],
-        [t * (-2 * a + b - a * b + 3 * a**2 - a**3),
-         -2 * b + 2 * a * b - 2 * a**2 + a**3],
-    ])
+    return _one_block(_mq_block, gains, period, process_var)
+
+
+def _one_block(block_fn, gains, period, variance):
+    a, b = _points(gains.alpha, gains.beta)
+    with np.errstate(all="ignore"):
+        block, fault = block_fn(a, b, period, variance)
+    _raise_first([fault, _overflow(block, a, b)])
+    return block
 
 
 def dbar() -> np.ndarray:
@@ -271,6 +365,19 @@ class SteadyStateCovariances:
         return float(self.s_dot[1, 0])
 
 
+def _covariances(a, b, period, meas_var, process_var, bias_var):
+    # m_bar, m_dot, s_dot stacks and the checks predicted_covariances makes
+    mn, mn_fault = _mn_block(a, b, period, meas_var)
+    mq, mq_fault = _mq_block(a, b, period, process_var)
+    m_bar = mn + mq
+    phi = _transition(period)
+    q = np.zeros(m_bar.shape)
+    q[..., 1, 1] = process_var
+    m_dot = phi @ m_bar @ phi.T + q
+    s_dot = m_dot + np.array([[bias_var, 0.0], [0.0, 0.0]])
+    return (m_bar, m_dot, s_dot), [mn_fault, mq_fault, _overflow(s_dot, a, b)]
+
+
 def predicted_covariances(gains: SteadyStateGains,
                           config: SteadyStateConfig) -> SteadyStateCovariances:
     """Closed-form steady covariances for a gain pair and noise levels.
@@ -278,13 +385,16 @@ def predicted_covariances(gains: SteadyStateGains,
     m_bar is the updated noise covariance (measurement plus process
     parts); m_dot its one-step prediction Phi m_bar Phi' + Q; s_dot adds
     the bias variance to the position entry only, since the predicted
-    bias sensitivity vector Phi dbar is (-1, 0).
+    bias sensitivity vector Phi dbar is (-1, 0). Raises
+    DegenerateDenominator for a vanishing denominator and
+    NonFiniteCovariance when an entry overflows.
     """
-    m_bar = (steady_mn(gains, config.period, config.meas_var)
-             + steady_mq(gains, config.period, config.process_var))
-    phi = config.transition_matrix()
-    m_dot = phi @ m_bar @ phi.T + config.process_noise_matrix()
-    s_dot = m_dot + np.array([[config.bias_var, 0.0], [0.0, 0.0]])
+    a, b = _points(gains.alpha, gains.beta)
+    with np.errstate(all="ignore"):
+        stacks, faults = _covariances(a, b, config.period, config.meas_var,
+                                      config.process_var, config.bias_var)
+    _raise_first(faults)
+    m_bar, m_dot, s_dot = stacks
     return SteadyStateCovariances(m_bar=m_bar, m_dot=m_dot, s_dot=s_dot)
 
 
@@ -308,16 +418,26 @@ class GainValidation:
         return tuple(name for name, passed in self.__dict__.items() if not passed)
 
 
-def _gain_checks(gains: SteadyStateGains) -> dict[str, bool]:
+def _gain_checks(a, b, eigenvalues=None) -> dict:
     # the three denominator conditions and closed-loop stability, keyed by
-    # their GainValidation field names
-    a, b = gains.alpha, gains.beta
+    # their GainValidation field names, elementwise over gain arrays
+    moduli = _moduli(*(_eigenvalues(a, b) if eigenvalues is None else eigenvalues))
     return {
-        "alpha_nonzero": abs(a) > _ZERO_TOL,
-        "beta_nonzero": abs(b) > _ZERO_TOL,
-        "beta_not_excluded": abs(b - excluded_root(a)) > _ZERO_TOL,
-        "stable": max(abs(e) for e in fbar_eigenvalues(gains)) < 1.0,
+        "alpha_nonzero": np.abs(a) > _ZERO_TOL,
+        "beta_nonzero": np.abs(b) > _ZERO_TOL,
+        "beta_not_excluded": np.abs(b - excluded_root(a)) > _ZERO_TOL,
+        "stable": np.maximum(*moduli) < 1.0,
     }
+
+
+def _definite(block, fault, variance) -> bool:
+    # a block with a vanishing denominator or an overflowed entry is not
+    # definite; a zero-variance block may legitimately be zero
+    degenerate, _ = fault
+    if degenerate or not np.isfinite(block).all():
+        return False
+    eigs = np.linalg.eigvalsh(block)
+    return bool(np.all(eigs > 0)) if variance > 0 else bool(np.all(eigs > -_ZERO_TOL))
 
 
 def validate_gains(gains: SteadyStateGains, config: SteadyStateConfig) -> GainValidation:
@@ -326,17 +446,19 @@ def validate_gains(gains: SteadyStateGains, config: SteadyStateConfig) -> GainVa
     The three denominator conditions are alpha != 0, beta != 0 and
     beta != 4 - 2 alpha. Definiteness of a noise block is only required
     when its driving variance is positive (a zero-variance block is
-    legitimately zero).
+    legitimately zero). Returns a report for any finite gains; a block
+    with a vanishing denominator or an entry that overflows is reported
+    as not definite.
     """
-    checks = _gain_checks(gains)
-    mn_pd = mq_pd = False
-    if checks["alpha_nonzero"] and checks["beta_nonzero"] and checks["beta_not_excluded"]:
-        mn = steady_mn(gains, config.period, config.meas_var)
-        mq = steady_mq(gains, config.period, config.process_var)
-        mn_pd = bool(np.all(np.linalg.eigvalsh(mn) > 0)) if config.meas_var > 0 \
-            else bool(np.all(np.linalg.eigvalsh(mn) > -_ZERO_TOL))
-        mq_pd = bool(np.all(np.linalg.eigvalsh(mq) > 0)) if config.process_var > 0 \
-            else bool(np.all(np.linalg.eigvalsh(mq) > -_ZERO_TOL))
+    a, b = _points(gains.alpha, gains.beta)
+    with np.errstate(all="ignore"):
+        checks = {name: bool(passed) for name, passed in _gain_checks(a, b).items()}
+        mn_pd = mq_pd = False
+        if checks["alpha_nonzero"] and checks["beta_nonzero"] and checks["beta_not_excluded"]:
+            mn_pd = _definite(*_mn_block(a, b, config.period, config.meas_var),
+                              config.meas_var)
+            mq_pd = _definite(*_mq_block(a, b, config.period, config.process_var),
+                              config.process_var)
     return GainValidation(**checks, mn_positive_definite=mn_pd,
                           mq_positive_definite=mq_pd)
 
@@ -355,22 +477,48 @@ class GainSweepRow:
     excluded_root: float
 
 
+def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
+               bias_var: float = 0.0) -> np.ndarray:
+    """Solve the gain cubic over a (rho, alpha) grid, as one array pass.
+
+    Returns an (n_rho * n_alpha, 8) array in row-major grid order (rho
+    outer, alpha inner) with the columns of ``GAIN_SWEEP_HEADER`` plus
+    ``excluded_root``. Every point gets the checks of ``solve_beta``,
+    ``SteadyStateConfig.from_rho`` and ``predicted_covariances``, which
+    run the same array code on one point. If any point fails, the error
+    raised is the one those functions raise for the first failing point
+    in row-major order: NoValidRoot, a ValueError from the config,
+    DegenerateDenominator or NonFiniteCovariance.
+    """
+    rho_axis = np.asarray(rhos, dtype=float).ravel()
+    alpha_axis = np.asarray(alphas, dtype=float).ravel()
+    rows = np.repeat(np.arange(rho_axis.size), alpha_axis.size)   # grid row of each point
+    rho, alpha = rho_axis[rows], np.tile(alpha_axis, rho_axis.size)
+    # the noise levels depend on rho alone: one validated config per grid
+    # row; a config's process_var is finite, so nan marks a failed row
+    process_var = np.full(rho_axis.shape, np.nan)
+    config_errors = {}
+    for row, value in enumerate(rho_axis.tolist()):
+        try:
+            process_var[row] = SteadyStateConfig.from_rho(
+                value, period=period, meas_var=meas_var, bias_var=bias_var).process_var
+        except ValueError as exc:
+            config_errors[row] = exc
+    with np.errstate(all="ignore"):
+        beta = _beta_root(alpha, rho)
+        eigenvalues = _eigenvalues(alpha, beta)
+        beta_faults = _beta_faults(alpha, rho, beta, eigenvalues)
+        (_, _, s_dot), cov_faults = _covariances(
+            alpha, beta, period, meas_var, process_var[rows], bias_var)
+        table = np.column_stack([rho, alpha, beta, *_moduli(*eigenvalues),
+                                 s_dot[:, 0, 0], s_dot[:, 1, 0], excluded_root(alpha)])
+    config_fault = (np.isnan(process_var)[rows], lambda at: config_errors[int(at(rows))])
+    _raise_first([*beta_faults, config_fault, *cov_faults])
+    return table
+
+
 def gain_sweep(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
                bias_var: float = 0.0) -> list[GainSweepRow]:
-    """Solve the gain cubic over a (rho, alpha) grid and tabulate diagnostics."""
-    rows = []
-    for rho in rhos:
-        for alpha in alphas:
-            beta = solve_beta(alpha, rho)
-            gains = SteadyStateGains(alpha=alpha, beta=beta)
-            config = SteadyStateConfig.from_rho(rho, period=period,
-                                                meas_var=meas_var, bias_var=bias_var)
-            cov = predicted_covariances(gains, config)
-            eig1, eig2 = fbar_eigenvalues(gains)
-            rows.append(GainSweepRow(
-                rho=rho, alpha=alpha, beta=beta,
-                eig1_mod=abs(eig1), eig2_mod=abs(eig2),
-                s11_dot=cov.s11_dot, s21_dot=cov.s21_dot,
-                excluded_root=excluded_root(alpha),
-            ))
-    return rows
+    """The rows of ``gain_table`` as ``GainSweepRow`` records (same order, same errors)."""
+    return [GainSweepRow(*row) for row in gain_table(
+        rhos, alphas, period=period, meas_var=meas_var, bias_var=bias_var).tolist()]

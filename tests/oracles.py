@@ -158,3 +158,28 @@ def iterate_lyapunov(f, g, iterations=4000):
     for _ in range(iterations):
         x = f @ x @ f.T + g
     return x
+
+
+def gain_grid_reference(rhos, alphas, period, meas_var, bias_var):
+    """Gain-table rows (beta, sorted eigenvalue moduli, S11dot, S21dot), point by point.
+
+    Uses generic numerics only: the real root of the gain cubic from
+    ``np.roots``, a dense eigensolve of the closed loop, and the steady
+    covariance from the Kronecker-product solve of X = F X F' + G.
+    """
+    rows = []
+    for rho in rhos:
+        q = np.array([[0.0, 0.0], [0.0, rho * meas_var / period**2]])
+        phi = np.array([[1.0, period], [0.0, 1.0]])
+        for a in alphas:
+            roots = np.roots([2.0, 0.0, rho * (a * a - 2 * a + 2), rho * a * a * (a - 2)])
+            b = float(roots[np.argmin(np.abs(roots.imag))].real)
+            k = np.array([[a], [b / period]])
+            el = np.eye(2) - k @ np.array([[1.0, 0.0]])
+            f = el @ phi
+            g = k @ k.T * meas_var + el @ q @ el.T
+            m_bar = np.linalg.solve(np.eye(4) - np.kron(f, f), g.ravel()).reshape(2, 2)
+            s_dot = phi @ m_bar @ phi.T + q + np.diag([bias_var, 0.0])
+            moduli = sorted(np.abs(np.linalg.eigvals(f)))
+            rows.append([b, *moduli, s_dot[0, 0], s_dot[1, 0]])
+    return np.array(rows)

@@ -168,6 +168,37 @@ class TestGains:
         assert code == 0
         assert float(next(csv.DictReader(io.StringIO(out)))["beta"]) == 0.199448
 
+    def test_float_max_noise_ratio_exit_two(self, capsys):
+        # S22 of the predicted covariance overflows: one error line, no warning
+        code, out, err = run(capsys, "gains", "--rho", "1.7976931348623157e308",
+                             "--alpha", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--grid", "2.0,0.0:0.5"], "error: noise ratio must be positive, got 0.0\n"),
+        (["--grid", "2.0:0.5,2.5,3.0"], "error: no valid velocity gain for alpha=2.5, rho=2.0 "
+                                        "(roots found: -0.802512, -1)\n"),
+    ])
+    def test_first_failing_grid_point(self, capsys, argv, message):
+        code, out, err = run(capsys, "gains", *argv)
+        assert (code, out, err) == (2, "", message)
+
+    def test_csv_and_json_rows_agree(self, capsys):
+        grid = ("--grid", "0.5,2,40:0.1,0.45,1.3", "--period", "0.8", "--meas-var", "2",
+                "--bias-var", "3")
+        code, csv_out, _ = run(capsys, "gains", *grid)
+        assert code == 0
+        code, json_out, _ = run(capsys, "gains", *grid, "--format", "json")
+        assert code == 0
+        assert csv_out.endswith("\r\n") and csv_out.count("\r\n") == 10
+        csv_rows = [{k: float(v) for k, v in row.items()}
+                    for row in csv.DictReader(io.StringIO(csv_out))]
+        json_rows = json.loads(json_out)
+        assert len(csv_rows) == 9
+        assert csv_rows == json_rows
+
     def test_missing_arguments_exit_three(self, capsys):
         code, _, _ = run(capsys, "gains", "--rho", "2")
         assert code == 3
@@ -206,6 +237,16 @@ class TestSimulate:
         doc1, doc2 = json.loads(out1), json.loads(out2)
         doc1.pop("wall_time_s"), doc2.pop("wall_time_s")
         assert doc1 == doc2
+
+    def test_overflowing_gain_exit_two(self, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["gains"] = {"alpha": 1e110, "beta": 0.5}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: gains fail validation") and len(err.splitlines()) == 1
 
     def test_csv_format(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

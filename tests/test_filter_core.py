@@ -368,3 +368,39 @@ class TestSteadyStateConsistency:
                 state = fc.step(model, state, [0.0])
             gains.append(state.gain.copy())
         np.testing.assert_allclose(gains[0], gains[1], atol=1e-8)
+
+
+def state_dependent_model():
+    # u(x, lam) = lam (1 + 0.1 sin x0): the Jacobians depend on the estimate,
+    # and du/dx is nonzero at the nonzero mean bias
+    return fc.BiasFilterModel(
+        transition=np.array([[1.0, 0.5], [0.0, 1.0]]),
+        output=np.array([[1.0, 0.0]]),
+        bias_matrix=np.array([[1.0]]),
+        process_noise=np.array([[0.01, 0.0], [0.0, 0.2]]),
+        meas_noise=np.array([[0.8]]),
+        bias_cov=np.array([[1.5]]),
+        bias_mean=np.array([0.5]),
+        bias_fn=lambda x, lam: lam * (1.0 + 0.1 * np.sin(x[0])),
+        bias_jac_state=lambda x, lam: np.array([[lam[0] * 0.1 * np.cos(x[0]), 0.0]]),
+        bias_jac_bias=lambda x, lam: np.array([[1.0 + 0.1 * np.sin(x[0])]]),
+    )
+
+
+class TestStepComposition:
+    @pytest.mark.parametrize("fixed_gain", [None, [[0.3], [0.05]]])
+    def test_step_equals_explicit_composition(self, fixed_gain):
+        model = state_dependent_model()
+        assert np.any(model.bias_jac_state(np.array([0.2, 0.0]), model.bias_mean) != 0)
+        rng = np.random.default_rng(17)
+        stepped = composed = fc.FilterState.initial(model, np.array([0.2, -0.1]),
+                                                    noise_cov=np.eye(2))
+        for _ in range(50):
+            z = rng.normal(0.0, 1.0, 1)
+            stepped = fc.step(model, stepped, z, gain=fixed_gain)
+            predicted = fc.time_update(model, composed)
+            gain = fc.optimal_gain(model, predicted) if fixed_gain is None else fixed_gain
+            composed = fc.measurement_update(
+                model, replace(predicted, gain=np.asarray(gain, dtype=float)), z)
+            for name in ("x", "noise_cov", "bias_sens", "total_cov", "gain"):
+                assert getattr(stepped, name).tobytes() == getattr(composed, name).tobytes(), name

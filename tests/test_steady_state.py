@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radarbias import steady_state as ss
-from radarbias.errors import DegenerateDenominator, NoValidRoot
+from radarbias.errors import DegenerateDenominator, NonFiniteCovariance, NoValidRoot
 
 import oracles
 
@@ -129,6 +129,12 @@ class TestCovarianceBlocks:
         g = ss.SteadyStateGains(0.2, 0.04385)
         np.testing.assert_allclose(ss.steady_mq(g, 1.0, 0.0), np.zeros((2, 2)))
 
+    def test_overflowing_blocks_raise(self):
+        with pytest.raises(NonFiniteCovariance):
+            ss.steady_mq(ss.SteadyStateGains(1e110, 0.5), 1.0, 2.0)
+        with pytest.raises(NonFiniteCovariance):
+            ss.steady_mn(ss.SteadyStateGains(0.2, 0.04385), 0.0, 1.0)
+
     def test_degenerate_denominators(self):
         with pytest.raises(DegenerateDenominator):
             ss.steady_mn(ss.SteadyStateGains(0.3, 4 - 0.6), 1.0, 1.0)
@@ -249,3 +255,86 @@ class TestGainSweep:
         for r in rows:
             assert r.excluded_root == pytest.approx(4 - 2 * r.alpha)
             assert max(r.eig1_mod, r.eig2_mod) < 1.0
+
+
+class TestGainTable:
+    """The grid evaluated as arrays, with the row-by-row loop's errors."""
+
+    def test_columns_match_gain_sweep(self):
+        table = ss.gain_table([2.0, 10.0], [0.2, 0.5], period=1.5, meas_var=2.0,
+                              bias_var=3.0)
+        assert table.shape == (4, 8)
+        rows = ss.gain_sweep([2.0, 10.0], [0.2, 0.5], period=1.5, meas_var=2.0,
+                             bias_var=3.0)
+        assert [list(ss.GainSweepRow(*row).__dict__.values()) for row in table.tolist()] \
+            == [list(r.__dict__.values()) for r in rows]
+        # row-major: rho outer, alpha inner
+        np.testing.assert_array_equal(table[:, :2], [[2, 0.2], [2, 0.5], [10, 0.2], [10, 0.5]])
+
+    def test_matches_generic_reference(self):
+        rhos, alphas = [0.05, 2.0, 30.0, 900.0], [0.05, 0.3, 0.9, 1.0, 1.6]
+        table = ss.gain_table(rhos, alphas, period=0.7, meas_var=1.3, bias_var=2.0)
+        ref = oracles.gain_grid_reference(rhos, alphas, period=0.7, meas_var=1.3,
+                                          bias_var=2.0)
+        got = np.column_stack([table[:, 2], np.sort(table[:, 3:5], axis=1), table[:, 5:7]])
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+
+    def test_empty_grid(self):
+        assert ss.gain_table([], [0.2]).shape == (0, 8)
+        assert ss.gain_sweep([2.0], []) == []
+
+    def test_nonpositive_rho_reported_first(self):
+        with pytest.raises(NoValidRoot, match=r"^noise ratio must be positive, got 0\.0$"):
+            ss.gain_table([2.0, 0.0], [0.5])
+
+    def test_invalid_alpha_reports_its_roots(self):
+        with pytest.raises(NoValidRoot) as info:
+            ss.gain_table([2.0], [0.5, 2.5, 3.0])
+        assert str(info.value) == ("no valid velocity gain for alpha=2.5, rho=2.0 "
+                                   "(roots found: -0.802512, -1)")
+        assert info.value.roots[1] == -1.0
+
+    def test_first_failure_in_row_major_order(self):
+        # (2.0, 2.5) precedes (0.0, 0.5) in row-major order
+        with pytest.raises(NoValidRoot, match="alpha=2.5, rho=2.0"):
+            ss.gain_table([2.0, 0.0], [0.5, 2.5])
+
+    def test_config_error_after_root_checks(self):
+        with pytest.raises(ValueError, match=r"^process_var\*period\^2/meas_var = nan "
+                                             r"is not finite$"):
+            ss.gain_table([2.0], [0.2], period=1e200, meas_var=1e-200)
+        # a point whose root fails is reported before the row's config error
+        with pytest.raises(NoValidRoot):
+            ss.gain_table([2.0], [2.5, 0.2], period=1e200, meas_var=1e-200)
+
+    def test_degenerate_denominator_matches_scalar(self):
+        beta = ss.solve_beta(2e-6, 1e3)
+        with pytest.raises(DegenerateDenominator) as scalar:
+            ss.steady_mq(ss.SteadyStateGains(2e-6, beta), 1.0, 1e3)
+        with pytest.raises(DegenerateDenominator) as table:
+            ss.gain_table([1e3], [0.3, 2e-6])
+        assert str(table.value) == str(scalar.value)
+
+    def test_overflowing_covariance_raises(self):
+        rho = 1.7976931348623157e308
+        with pytest.raises(NonFiniteCovariance,
+                           match="^steady covariance overflows for alpha=0.5, beta=0.3"):
+            ss.gain_table([2.0, rho], [0.5, 1.0])
+        cfg = ss.SteadyStateConfig.from_rho(rho)
+        with pytest.raises(NonFiniteCovariance):
+            ss.predicted_covariances(ss.SteadyStateGains(1.0, ss.solve_beta(1.0, rho)), cfg)
+
+
+class TestValidateGainsNeverRaises:
+    def test_overflowing_gain(self):
+        report = ss.validate_gains(ss.SteadyStateGains(1e110, 0.5),
+                                   ss.SteadyStateConfig.from_rho(2.0))
+        assert not report.stable
+        assert not report.mq_positive_definite
+
+    def test_degenerate_denominator_is_not_definite(self):
+        # passes checks 1-3 while alpha beta (beta + 2 alpha - 4) vanishes
+        report = ss.validate_gains(ss.SteadyStateGains(1e-7, 1e-7),
+                                   ss.SteadyStateConfig.from_rho(2.0))
+        assert report.alpha_nonzero and report.beta_nonzero and report.beta_not_excluded
+        assert not report.mq_positive_definite
