@@ -21,7 +21,11 @@ class SingularGeometry(ValueError):
 
 
 class SingularSystem(ValueError):
-    """The combined reduction matrix of the bias solver is not invertible."""
+    """The bias solver's weighted constraint system cannot be solved in floating point.
+
+    Raised when the weighted constraint matrix or the solution overflows, or
+    when the multiplier system is too ill-conditioned to invert.
+    """
 
 
 class DimensionMismatch(ValueError):

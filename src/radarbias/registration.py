@@ -196,15 +196,18 @@ def normalized_cost(bias1: SphericalTriple, bias2: SphericalTriple,
     return float(e1**2 @ (1.0 / weights.sensor1()) + e2**2 @ (1.0 / weights.sensor2()))
 
 
-def _constraint(a1, a2, e1, e2, relative_bias) -> np.ndarray:
-    return a2 @ e2 - a1 @ e1 - relative_bias
+def _constraint_matrix(problem: RegistrationProblem) -> np.ndarray:
+    """C = [-A1, A2], so the constraint over the six increments reads C e = relative_bias."""
+    return np.hstack([-build_A(problem.geom1, "sensor 1"), build_A(problem.geom2, "sensor 2")])
 
 
-def _kkt_residual(a1, a2, d1, d2, e1, e2, multipliers) -> float:
-    grad = np.concatenate([d1 * e1, d2 * e2])
-    # the constraint gradients stacked over the six increments
-    congrad = np.vstack([-a1.T, a2.T])
-    resid = grad - congrad @ multipliers
+def _constraint(c, e, relative_bias) -> np.ndarray:
+    return c @ e - relative_bias
+
+
+def _kkt_residual(c, d, e, multipliers) -> float:
+    grad = d * e
+    resid = grad - c.T @ multipliers
     scale = np.linalg.norm(grad)
     if scale == 0.0:
         return float(np.linalg.norm(resid))
@@ -214,60 +217,57 @@ def _kkt_residual(a1, a2, d1, d2, e1, e2, multipliers) -> float:
 def constraint_residual(bias1: SphericalTriple, bias2: SphericalTriple,
                         problem: RegistrationProblem) -> np.ndarray:
     """Constraint value A2 e2 - A1 e1 - relative_bias (zero when feasible)."""
-    return _constraint(build_A(problem.geom1, "sensor 1"), build_A(problem.geom2, "sensor 2"),
-                       bias1.as_array(), bias2.as_array(), problem.relative_bias)
+    e = np.concatenate([bias1.as_array(), bias2.as_array()])
+    return _constraint(_constraint_matrix(problem), e, problem.relative_bias)
 
 
 def kkt_stationarity_residual(bias1: SphericalTriple, bias2: SphericalTriple,
                               multipliers, problem: RegistrationProblem) -> float:
     """Norm of grad(objective) minus the multiplier combination of constraint
     gradients, relative to the objective gradient norm."""
-    return _kkt_residual(build_A(problem.geom1, "sensor 1"), build_A(problem.geom2, "sensor 2"),
-                         problem.weights.sensor1(), problem.weights.sensor2(),
-                         bias1.as_array(), bias2.as_array(),
+    return _kkt_residual(_constraint_matrix(problem),
+                         np.concatenate([problem.weights.sensor1(), problem.weights.sensor2()]),
+                         np.concatenate([bias1.as_array(), bias2.as_array()]),
                          np.asarray(multipliers, dtype=float))
 
 
 def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:
     """Recover both sensors' absolute bias increments in closed form.
 
-    Eliminates sensor 2's increments through the constraint, applies the
-    first-order optimality conditions, and solves the resulting 3x3 linear
-    system for sensor 1's increments. Multipliers are recovered for
-    diagnostics. Raises SingularGeometry for degenerate pointing and
-    SingularSystem if the combined reduction matrix is not invertible.
+    With C = [-A1, A2] and d the six weights, stationarity gives
+    e = C' a / d, so the multipliers solve B B' a = relative_bias with
+    B = C diag(d)^-1/2. One SVD B = U S V' gives a = U S^-2 U' b and the
+    condition (s_max/s_min)^2 of B B'. Taking e from a keeps stationarity
+    exact to rounding for any weight spread, and three passes of the solve
+    on the constraint residual do the same for the constraint. Raises
+    SingularGeometry for degenerate pointing, and SingularSystem if B or
+    the solution overflows or B B' is too ill-conditioned to invert.
     """
-    a1 = build_A(problem.geom1, "sensor 1")
-    a2 = build_A(problem.geom2, "sensor 2")
-    d1 = problem.weights.sensor1()
-    d2 = problem.weights.sensor2()
-
-    # stationarity couples the two sensors through the multipliers:
-    #   diag(d1) e1 = -A1' a,  diag(d2) e2 = A2' a
-    # so e2 = diag(d2)^-1 A2' (-A1')^-1 diag(d1) e1, and the constraint
-    # e2 = A2^-1 (A1 e1 + b) closes the system on e1.
-    m1 = -a1.T
-    m2 = a2.T
-    coupling = (m2 / d2[:, None]) @ np.linalg.solve(m1, np.diag(d1))
-    reduction = coupling - np.linalg.solve(a2, a1)
-    cond = np.linalg.cond(reduction)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularSystem(
-            f"combined reduction matrix is not invertible (condition {cond:.3g})")
-
-    e1 = np.linalg.solve(reduction, np.linalg.solve(a2, problem.relative_bias))
-    e2 = coupling @ e1
-    multipliers = np.linalg.solve(m1, d1 * e1)
-
-    bias1 = SphericalTriple.from_array(e1)
-    bias2 = SphericalTriple.from_array(e2)
-    return RegistrationSolution(
-        bias1=bias1,
-        bias2=bias2,
-        cost=normalized_cost(bias1, bias2, problem.weights),
-        objective=evaluate_cost(bias1, bias2, problem.weights),
-        multipliers=multipliers,
-        constraint_residual=float(np.linalg.norm(
-            _constraint(a1, a2, e1, e2, problem.relative_bias))),
-        kkt_residual=_kkt_residual(a1, a2, d1, d2, e1, e2, multipliers),
-    )
+    c = _constraint_matrix(problem)
+    d = np.concatenate([problem.weights.sensor1(), problem.weights.sensor2()])
+    with np.errstate(all="ignore"):
+        bmat = c / np.sqrt(d)
+        # LAPACK's SVD may never return on a matrix holding inf or nan
+        if not np.all(np.isfinite(bmat)):
+            raise SingularSystem("weighted constraint matrix overflows")
+        u, s, _ = np.linalg.svd(bmat, full_matrices=False)
+        cond = (s[0] / s[-1]) ** 2
+        if not cond <= _COND_LIMIT:
+            raise SingularSystem(f"multiplier system is not invertible (condition {cond:.3g})")
+        multipliers, e, resid = np.zeros(3), np.zeros(6), -problem.relative_bias
+        for _ in range(3):
+            step = u @ ((u.T @ resid) / s**2)
+            multipliers, e = multipliers - step, e - (c.T @ step) / d
+            resid = _constraint(c, e, problem.relative_bias)
+        bias1, bias2 = SphericalTriple.from_array(e[:3]), SphericalTriple.from_array(e[3:])
+        solution = RegistrationSolution(
+            bias1=bias1, bias2=bias2, multipliers=multipliers,
+            cost=normalized_cost(bias1, bias2, problem.weights),
+            objective=evaluate_cost(bias1, bias2, problem.weights),
+            constraint_residual=float(np.linalg.norm(resid)),
+            kkt_residual=_kkt_residual(c, d, e, multipliers),
+        )
+    if not np.all(np.isfinite([*e, *multipliers, solution.cost, solution.objective,
+                               solution.constraint_residual, solution.kkt_residual])):
+        raise SingularSystem("solution overflows")
+    return solution

@@ -51,6 +51,17 @@ REGISTRATION_EXAMPLES = {
     ),
 }
 
+#: a well-posed ``register`` document: its multiplier system B B' has
+#: condition about 479, but its weights span 0.06 to 9e13, so eliminating
+#: one sensor through diag(d1) gives a 3x3 system of condition about 1.4e14
+WIDE_WEIGHT_SPREAD_CONFIG = {
+    "relative_bias": [50.0, 100.0, -15.0],
+    "sensor1": {"p_t": 766800.0, "azimuth": -1.256, "elevation": -1.207},
+    "sensor2": {"p_t": 216500.0, "azimuth": -2.245, "elevation": 1.387},
+    "weights": {"k_r1_sq": 16.84, "k_psi1_sq": 6.056e10, "k_theta1_sq": 8.932e13,
+                "k_r2_sq": 0.0647, "k_psi2_sq": 2.806e12, "k_theta2_sq": 3.044e12},
+}
+
 # (rho, alpha) -> tabulated velocity gain; the second tabulated root is
 # always 4 - 2 alpha and is excluded
 GAIN_TABLE = (

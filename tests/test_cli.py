@@ -78,6 +78,29 @@ class TestRegister:
         assert code == 2
         assert "singular geometry: sensor 2" in err
 
+    def test_wide_weight_spread_exit_zero(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(oracles.WIDE_WEIGHT_SPREAD_CONFIG))
+        code, out, err = run(capsys, "register", "--config", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["constraint_residual_m"] < 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_system_exit_two(self, tmp_path, capsys):
+        doc = {
+            "relative_bias": [100.0, 200.0, 300.0],
+            "sensor1": {"p_t": 2.3e34, "azimuth": 2.7, "elevation": -0.4},
+            "sensor2": {"p_t": 5.9e150, "azimuth": 0.7, "elevation": 0.0},
+            "weights": {"k_r1_sq": 5.1e65, "k_psi1_sq": 2.8e-283, "k_theta1_sq": 8.7e-211,
+                        "k_r2_sq": 2.3e264, "k_psi2_sq": 6.5e-258, "k_theta2_sq": 8e-222},
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "register", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_malformed_json_exit_three(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

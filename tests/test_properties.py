@@ -1,11 +1,16 @@
 """Property tests over wide input ranges (hypothesis)."""
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from radarbias import registration as reg
 from radarbias import steady_state as ss
-from radarbias.errors import DegenerateDenominator, NonFiniteCovariance, NoValidRoot
+from radarbias.errors import (DegenerateDenominator, NonFiniteCovariance, NoValidRoot,
+                              SingularGeometry, SingularSystem)
 
 MAX_FLOAT = 1.7976931348623157e308
 
@@ -79,3 +84,60 @@ def test_validate_gains_reports_any_finite_gains(alpha, beta):
     assert all(type(v) is bool for v in report.__dict__.values())
     if report.ok:
         assert report.stable and 0 < beta < ss.excluded_root(alpha)
+
+
+def _registration_problem(bias, p_t, azimuths, elevations, weights):
+    geoms = [reg.SensorGeometry(p, az, el) for p, az, el in zip(p_t, azimuths, elevations)]
+    return reg.RegistrationProblem(np.array(bias), *geoms, reg.BiasCostWeights(*weights))
+
+
+def _pair(strategy):
+    return st.tuples(strategy, strategy)
+
+
+_ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(bias=st.tuples(*[st.floats(min_value=-1e300, max_value=1e300)] * 3),
+       p_t=_pair(st.floats(min_value=1e-6, max_value=1e308)),
+       azimuths=_pair(_ANGLE), elevations=_pair(_ANGLE),
+       weights=st.tuples(*[st.floats(min_value=5e-324, max_value=MAX_FLOAT)] * 6))
+# B = C diag(d)^-1/2 overflows: p_t 1e300 over sqrt(k_psi1_sq) 1e-150
+@example(bias=(100.0, 200.0, 300.0), p_t=(1e300, 5e4), azimuths=(0.3, 1.1),
+         elevations=(0.2, -0.5), weights=(2.0, 1e-300, 1e9, 2.0, 5e9, 5e9))
+# B is finite and well conditioned, but e = diag(d)^-1/2 V S^-1 U' b overflows
+@example(bias=(1e300, 1e300, 1e300), p_t=(1e-3, 1e-3), azimuths=(0.3, 1.1),
+         elevations=(0.2, -0.5), weights=(1e300,) * 6)
+def test_registration_finite_or_documented_error(bias, p_t, azimuths, elevations, weights):
+    """The solve returns all-finite fields or raises SingularGeometry/SingularSystem."""
+    problem = _registration_problem(bias, p_t, azimuths, elevations, weights)
+    try:
+        sol = reg.solve_absolute_bias(problem)
+    except (SingularGeometry, SingularSystem):
+        return
+    values = [*sol.bias1.as_array(), *sol.bias2.as_array(), *sol.multipliers, sol.cost,
+              sol.objective, sol.constraint_residual, sol.kkt_residual]
+    assert all(map(math.isfinite, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bias=st.tuples(*[st.floats(min_value=-1e6, max_value=1e6)] * 3),
+       p_t=_pair(st.floats(min_value=1e2, max_value=1e7)),
+       azimuths=_pair(_ANGLE), elevations=_pair(_ANGLE),
+       factors=st.tuples(*[st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0**x)] * 6))
+# the weights of oracles.WIDE_WEIGHT_SPREAD_CONFIG
+@example(bias=(50.0, 100.0, -15.0), p_t=(766800.0, 216500.0), azimuths=(-1.256, -2.245),
+         elevations=(-1.207, 1.387),
+         factors=(16.84, 6.056e10 / (2 * 766800.0**2), 8.932e13 / (2 * 766800.0**2),
+                  0.0647, 2.806e12 / (2 * 216500.0**2), 3.044e12 / (2 * 216500.0**2)))
+def test_registration_solves_convention_range(bias, p_t, azimuths, elevations, factors):
+    """Weights within 10^+-3 of unit range weights and 2 p_t^2 angle weights always solve."""
+    assume(all(abs(math.cos(el)) >= 1e-6 for el in elevations))
+    convention = [1.0, 2 * p_t[0] ** 2, 2 * p_t[0] ** 2, 1.0, 2 * p_t[1] ** 2, 2 * p_t[1] ** 2]
+    weights = [w * f for w, f in zip(convention, factors)]
+    sol = reg.solve_absolute_bias(_registration_problem(bias, p_t, azimuths, elevations,
+                                                        weights))
+    assert sol.constraint_residual <= 1e-9 * max(1.0, math.hypot(*bias))
+    assert sol.kkt_residual <= 1e-9

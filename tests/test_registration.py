@@ -218,8 +218,9 @@ class TestSolve:
             assert sol.kkt_residual < 1e-9
 
     def test_independent_minimizer_agreement(self):
-        for seed in range(10):
-            problem, _ = synth_registration_scenario(seed)
+        problems = [synth_registration_scenario(seed)[0] for seed in range(10)]
+        problems.append(reg.RegistrationProblem.from_dict(oracles.WIDE_WEIGHT_SPREAD_CONFIG))
+        for problem in problems:
             sol = reg.solve_absolute_bias(problem)
             weights6 = np.concatenate([problem.weights.sensor1(),
                                        problem.weights.sensor2()])
