@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     InvalidGains,
     NonFiniteCovariance,
+    NonFiniteTransform,
     NoValidRoot,
     SingularGeometry,
     SingularInnovation,

@@ -1,9 +1,10 @@
 """Command-line front end: registration solve, gain tables, Monte-Carlo, transforms.
 
 Exit codes: 0 success, 2 domain error (singular geometry or system, no
-valid gain root, invalid gains, overflowing covariance), 3 input error (malformed or
-schema-violating config, unknown frame pair). Numbers are printed with six
-significant digits; downstream comparisons should use tolerances.
+valid gain root, invalid gains, overflowing covariance or transform
+result), 3 input error (malformed or schema-violating config, unknown
+frame pair). Numbers are printed with six significant digits; downstream
+comparisons should use tolerances.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     DegenerateDenominator,
     InvalidGains,
     NonFiniteCovariance,
+    NonFiniteTransform,
     NoValidRoot,
     SingularGeometry,
     SingularSystem,
@@ -30,7 +32,8 @@ from .errors import (
 )
 
 _DOMAIN_ERRORS = (SingularGeometry, SingularSystem, NoValidRoot, InvalidGains,
-                  DegenerateDenominator, NonFiniteCovariance, ZeroVector)
+                  DegenerateDenominator, NonFiniteCovariance, NonFiniteTransform,
+                  ZeroVector)
 
 
 def _fmt(x: float) -> float:
@@ -233,47 +236,51 @@ def cmd_transform(args) -> int:
         return values
 
     vec = np.array(point)
-    if src == dst:
-        out = vec
-    elif (src, dst) == ("spherical", "cartesian"):
-        out = coords.spherical_to_cartesian(coords.SphericalTriple.from_array(vec))
-    elif (src, dst) == ("cartesian", "spherical"):
-        out = coords.cartesian_to_spherical(vec).as_array()
-    elif (src, dst) == ("enu1", "enu2"):
-        out = (coords.enu1_velocity_to_enu2(vec, site1(), site2()) if args.velocity
-               else coords.enu1_position_to_enu2(vec, site1(), site2(), earth))
-    elif (src, dst) == ("enu2", "enu1"):
-        out = (coords.enu2_velocity_to_enu1(vec, site1(), site2()) if args.velocity
-               else coords.enu2_position_to_enu1(vec, site1(), site2(), earth))
-    elif (src, dst) in (("enu1", "eci"), ("enu2", "eci")):
-        site = site1() if src == "enu1" else site2()
-        out = (coords.enu_to_eci(site) @ vec if args.velocity
-               else coords.enu_position_to_eci(vec, site, earth))
-    elif (src, dst) in (("eci", "enu1"), ("eci", "enu2")):
-        site = site1() if dst == "enu1" else site2()
-        out = (coords.eci_to_enu(site) @ vec if args.velocity
-               else coords.eci_position_to_enu(vec, site, earth))
-    elif (src, dst) in (("enu1", "face"), ("enu2", "face")):
-        out = coords.enu_to_face(*face_angles()) @ vec
-    elif (src, dst) in (("face", "enu1"), ("face", "enu2")):
-        out = coords.face_to_enu(*face_angles()) @ vec
-    else:
-        raise ConfigError(f"unsupported frame pair {src} -> {dst}")
+    # an overflow is reported below as a non-finite result, not as a warning
+    with np.errstate(all="ignore"):
+        if src == dst:
+            out = vec
+        elif (src, dst) == ("spherical", "cartesian"):
+            out = coords.spherical_to_cartesian(coords.SphericalTriple.from_array(vec))
+        elif (src, dst) == ("cartesian", "spherical"):
+            out = coords.cartesian_to_spherical(vec).as_array()
+        elif (src, dst) == ("enu1", "enu2"):
+            out = (coords.enu1_velocity_to_enu2(vec, site1(), site2()) if args.velocity
+                   else coords.enu1_position_to_enu2(vec, site1(), site2(), earth))
+        elif (src, dst) == ("enu2", "enu1"):
+            out = (coords.enu2_velocity_to_enu1(vec, site1(), site2()) if args.velocity
+                   else coords.enu2_position_to_enu1(vec, site1(), site2(), earth))
+        elif (src, dst) in (("enu1", "eci"), ("enu2", "eci")):
+            site = site1() if src == "enu1" else site2()
+            out = (coords.enu_to_eci(site) @ vec if args.velocity
+                   else coords.enu_position_to_eci(vec, site, earth))
+        elif (src, dst) in (("eci", "enu1"), ("eci", "enu2")):
+            site = site1() if dst == "enu1" else site2()
+            out = (coords.eci_to_enu(site) @ vec if args.velocity
+                   else coords.eci_position_to_enu(vec, site, earth))
+        elif (src, dst) in (("enu1", "face"), ("enu2", "face")):
+            out = coords.enu_to_face(*face_angles()) @ vec
+        elif (src, dst) in (("face", "enu1"), ("face", "enu2")):
+            out = coords.face_to_enu(*face_angles()) @ vec
+        else:
+            raise ConfigError(f"unsupported frame pair {src} -> {dst}")
+        values = [float(v) for v in out]
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteTransform(f"{src} -> {dst} result overflows a double")
 
     # transform output keeps full float precision: round trips through the
     # emitted text must reproduce the input to sub-micrometer level, which
     # six significant digits cannot carry at site-scale magnitudes
     components = (["range_m", "azimuth_rad", "elevation_rad"]
                   if dst == "spherical" else ["x_m", "y_m", "z_m"])
-    record = {"frame": dst, "point": [float(v) for v in out],
-              "components": components}
+    record = {"frame": dst, "point": values, "components": components}
     if args.format == "json":
         text = json.dumps(record, indent=2, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(record["components"])
-        writer.writerow([repr(float(v)) for v in out])
+        writer.writerow([repr(v) for v in values])
         text = buf.getvalue()
     _write_output(text, args.output)
     return 0

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroVector
+from .errors import NonFiniteTransform, ZeroVector
 
 _LD = np.longdouble
 
@@ -102,14 +102,18 @@ def cartesian_to_spherical(point) -> SphericalTriple:
 
     Uses the full-quadrant two-argument arctangent so azimuth lands in
     (-pi, pi]. On the z-axis (x = y = 0) the azimuth is undefined; it is
-    set to 0 and the result is flagged ``at_pole``.
+    set to 0 and the result is flagged ``at_pole``. The range is taken
+    with ``math.hypot``, so it is finite whenever a double can hold it.
 
-    Raises ZeroVector for the zero vector.
+    Raises ZeroVector for the zero vector and NonFiniteTransform when the
+    range is not finite.
     """
     x, y, z = (float(v) for v in np.asarray(point, dtype=float))
-    r = math.sqrt(x * x + y * y + z * z)
+    r = math.hypot(x, y, z)
     if r == 0.0:
         raise ZeroVector("cannot convert the zero vector to spherical")
+    if not math.isfinite(r):
+        raise NonFiniteTransform(f"range of the point is not finite ({r})")
     r_xy = math.hypot(x, y)
     at_pole = r_xy == 0.0
     psi = 0.0 if at_pole else math.atan2(y, x)

@@ -5,6 +5,10 @@ class ZeroVector(ValueError):
     """Cartesian-to-spherical conversion of the zero vector."""
 
 
+class NonFiniteTransform(ValueError):
+    """A coordinate transform's result is not finite, e.g. it overflows a double."""
+
+
 class SingularGeometry(ValueError):
     """Sensor geometry makes the measurement matrix singular.
 

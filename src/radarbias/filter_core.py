@@ -17,10 +17,18 @@ accounts for both parts.
 operations (``optimal_gain``, ``measurement_update``) act on a predicted
 state. The bias function and its Jacobians are evaluated at the predicted
 estimate and the mean bias.
+
+The gain equation is solved directly for a scalar measurement (q = 1):
+the 1 x 1 bracket is accepted when it is finite and nonzero, which is
+exactly when its condition number is 1 rather than infinite, and the gain
+is the right-hand side divided by it. For q > 1 the bracket must be finite
+with a condition number at most 1e12, and the gain comes from a linear
+solve. Otherwise ``SingularInnovation`` is raised.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,6 +37,11 @@ import numpy as np
 from .errors import DimensionMismatch, SingularInnovation
 
 _GAIN_COND_LIMIT = 1e12
+
+# The matrices here are a few rows wide, so a product costs its call
+# overhead, not its arithmetic. ndarray.dot has about half the overhead of
+# the ``@`` operator (about 1.0 against 2.2 us for a 2 x 2 product with
+# numpy 2.4), so the per-step recursions use it.
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -124,10 +137,10 @@ def time_update(model: BiasFilterModel, state: FilterState) -> FilterState:
     covariance S = M + D Lambda D' (with the propagated D).
     """
     phi = model.transition
-    x = phi @ state.x
-    m_cov = _symmetrize(phi @ state.noise_cov @ phi.T + model.process_noise)
-    d = phi @ state.bias_sens
-    s_cov = _symmetrize(m_cov + d @ model.bias_cov @ d.T)
+    x = phi.dot(state.x)
+    m_cov = _symmetrize(phi.dot(state.noise_cov).dot(phi.T) + model.process_noise)
+    d = phi.dot(state.bias_sens)
+    s_cov = _symmetrize(m_cov + d.dot(model.bias_cov).dot(d.T))
     return FilterState(x=x, noise_cov=m_cov, bias_sens=d, total_cov=s_cov)
 
 
@@ -135,10 +148,11 @@ def _measurement_pieces(model: BiasFilterModel, state: FilterState):
     # evaluated once per predicted state; shared by gain and update
     jac_bias = np.atleast_2d(model.bias_jac_bias(state.x, model.bias_mean))
     jac_state = np.atleast_2d(model.bias_jac_state(state.x, model.bias_mean))
-    w_jb = model.bias_matrix @ jac_bias                      # q x p
-    output_eff = model.output + model.bias_matrix @ jac_state  # H + W du/dx
-    noise_eff = model.meas_noise + w_jb @ model.bias_cov @ w_jb.T
-    cross = state.bias_sens @ model.bias_cov @ w_jb.T        # n x q
+    w_jb = model.bias_matrix.dot(jac_bias)                      # q x p
+    output_eff = model.output + model.bias_matrix.dot(jac_state)  # H + W du/dx
+    lam_wjb_t = model.bias_cov.dot(w_jb.T)                      # Lambda (W J_b)'
+    noise_eff = model.meas_noise + w_jb.dot(lam_wjb_t)
+    cross = state.bias_sens.dot(lam_wjb_t)                      # n x q
     return output_eff, noise_eff, w_jb, cross
 
 
@@ -151,19 +165,28 @@ def optimal_gain(model: BiasFilterModel, state: FilterState) -> np.ndarray:
 
     with He the effective output matrix, Ne the effective measurement
     noise and C the bias cross term; with zero bias this reduces to the
-    classical gain S H' (H S H' + N)^-1.
+    classical gain S H' (H S H' + N)^-1. Raises SingularInnovation when
+    the bracket is not finite or is numerically singular.
     """
     return _optimal_gain(state, _measurement_pieces(model, state))
 
 
 def _optimal_gain(state: FilterState, pieces) -> np.ndarray:
     output_eff, noise_eff, _, cross = pieces
-    bracket = (output_eff @ state.total_cov @ output_eff.T + noise_eff
-               + output_eff @ cross + cross.T @ output_eff.T)
-    bracket = _symmetrize(np.atleast_2d(bracket))
-    rhs = state.total_cov @ output_eff.T + cross
+    rhs = state.total_cov.dot(output_eff.T) + cross             # S He' + C
+    # He rhs = He S He' + He C, so the bracket adds Ne and (He C)'
+    bracket = output_eff.dot(rhs) + noise_eff + output_eff.dot(cross).T
+    if bracket.shape == (1, 1):
+        value = bracket[0, 0]
+        if not (math.isfinite(value) and value != 0.0):
+            raise SingularInnovation(
+                f"innovation bracket is numerically singular (scalar bracket {value:.3g})")
+        return rhs / value
+    bracket = _symmetrize(bracket)
+    if not np.isfinite(bracket).all():
+        raise SingularInnovation("innovation bracket is not finite")
     cond = np.linalg.cond(bracket)
-    if not np.isfinite(cond) or cond > _GAIN_COND_LIMIT:
+    if not cond <= _GAIN_COND_LIMIT:
         raise SingularInnovation(
             f"innovation bracket is numerically singular (condition {cond:.3g})")
     return np.linalg.solve(bracket, rhs.T).T
@@ -197,27 +220,27 @@ def _measurement_update(model: BiasFilterModel, state: FilterState, gain, z,
         raise DimensionMismatch(f"measurement has shape {z.shape}, expected {(q,)}")
 
     output_eff, noise_eff, w_jb, cross = pieces
-    predicted_meas = model.output @ state.x + model.bias_matrix @ np.atleast_1d(
-        model.bias_fn(state.x, model.bias_mean))
-    x = state.x + k_gain @ (z - predicted_meas)
+    predicted_meas = model.output.dot(state.x) + model.bias_matrix.dot(np.atleast_1d(
+        model.bias_fn(state.x, model.bias_mean)))
+    x = state.x + k_gain.dot(z - predicted_meas)
 
     eye = np.eye(n)
-    l_classic = eye - k_gain @ model.output                  # I - K H
-    l_eff = eye - k_gain @ output_eff                        # I - K (H + W du/dx)
+    l_classic = eye - k_gain.dot(model.output)                 # I - K H
+    l_eff = eye - k_gain.dot(output_eff)                       # I - K (H + W du/dx)
 
     # M next: the Q term propagates through I - K H (the bias function sees
     # the noise-free prediction), the rest through the effective closure.
     q_cov = model.process_noise
     m_cov = _symmetrize(
-        l_eff @ (state.noise_cov - q_cov) @ l_eff.T
-        + l_classic @ q_cov @ l_classic.T
-        + k_gain @ model.meas_noise @ k_gain.T)
-    d = l_eff @ state.bias_sens - k_gain @ w_jb
+        l_eff.dot(state.noise_cov - q_cov).dot(l_eff.T)
+        + l_classic.dot(q_cov).dot(l_classic.T)
+        + k_gain.dot(model.meas_noise).dot(k_gain.T))
+    d = l_eff.dot(state.bias_sens) - k_gain.dot(w_jb)
+    t_cross = l_eff.dot(cross).dot(k_gain.T)                   # L_e C K'
     s_cov = _symmetrize(
-        l_eff @ state.total_cov @ l_eff.T
-        + k_gain @ noise_eff @ k_gain.T
-        - l_eff @ cross @ k_gain.T
-        - k_gain @ cross.T @ l_eff.T)
+        l_eff.dot(state.total_cov).dot(l_eff.T)
+        + k_gain.dot(noise_eff).dot(k_gain.T)
+        - t_cross - t_cross.T)
     return FilterState(x=x, noise_cov=m_cov, bias_sens=d, total_cov=s_cov, gain=gain)
 
 

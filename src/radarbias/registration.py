@@ -206,12 +206,13 @@ def _constraint(c, e, relative_bias) -> np.ndarray:
 
 
 def _kkt_residual(c, d, e, multipliers) -> float:
+    # hypot norms: squaring entries near 1e154 would overflow to inf
     grad = d * e
-    resid = grad - c.T @ multipliers
-    scale = np.linalg.norm(grad)
+    resid_norm = np.hypot.reduce(grad - c.T @ multipliers)
+    scale = np.hypot.reduce(grad)
     if scale == 0.0:
-        return float(np.linalg.norm(resid))
-    return float(np.linalg.norm(resid) / scale)
+        return float(resid_norm)
+    return float(resid_norm / scale)
 
 
 def constraint_residual(bias1: SphericalTriple, bias2: SphericalTriple,

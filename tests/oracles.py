@@ -163,6 +163,41 @@ def classic_kalman_step(phi, h, q, r, x, p, z):
     return x_new, 0.5 * (p_new + p_new.T), gain
 
 
+def bias_filter_step(model, x, m, d, s, z, gain=None):
+    """One predict-update of the bias filter: returns (x, M, D, S, K).
+
+    The recursion as first written, with ``@`` products in their textbook
+    grouping and the gain from ``np.linalg.solve`` on the symmetrized
+    bracket, so it shares no arithmetic shortcut with the library step.
+    """
+    phi, h, w = model.transition, model.output, model.bias_matrix
+    q_cov, n_cov, lam = model.process_noise, model.meas_noise, model.bias_cov
+    n = len(x)
+    x = phi @ x
+    m = phi @ m @ phi.T + q_cov
+    m = 0.5 * (m + m.T)
+    d = phi @ d
+    s = m + d @ lam @ d.T
+    s = 0.5 * (s + s.T)
+    w_jb = w @ np.atleast_2d(model.bias_jac_bias(x, model.bias_mean))
+    h_eff = h + w @ np.atleast_2d(model.bias_jac_state(x, model.bias_mean))
+    n_eff = n_cov + w_jb @ lam @ w_jb.T
+    cross = d @ lam @ w_jb.T
+    if gain is None:
+        bracket = h_eff @ s @ h_eff.T + n_eff + h_eff @ cross + cross.T @ h_eff.T
+        bracket = 0.5 * (bracket + bracket.T)
+        gain = np.linalg.solve(bracket, (s @ h_eff.T + cross).T).T
+    x_new = x + gain @ (z - h @ x - w @ np.atleast_1d(model.bias_fn(x, model.bias_mean)))
+    l_classic = np.eye(n) - gain @ h
+    l_eff = np.eye(n) - gain @ h_eff
+    m_new = (l_eff @ (m - q_cov) @ l_eff.T + l_classic @ q_cov @ l_classic.T
+             + gain @ n_cov @ gain.T)
+    d_new = l_eff @ d - gain @ w_jb
+    s_new = (l_eff @ s @ l_eff.T + gain @ n_eff @ gain.T
+             - l_eff @ cross @ gain.T - gain @ cross.T @ l_eff.T)
+    return x_new, 0.5 * (m_new + m_new.T), d_new, 0.5 * (s_new + s_new.T), gain
+
+
 def iterate_lyapunov(f, g, iterations=4000):
     """Fixed point of X = F X F' + G by plain propagation from zero."""
     x = np.zeros_like(g)

@@ -362,6 +362,28 @@ class TestTransform:
         assert code == 2
         assert "zero vector" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("velocity", [False, True])
+    @pytest.mark.parametrize("src, dst", [
+        ("cartesian", "spherical"), ("enu1", "enu2"), ("enu2", "enu1"), ("enu1", "eci"),
+        ("eci", "enu2"), ("enu2", "face"), ("face", "enu1")])
+    def test_overflowing_result_exit_two(self, capsys, src, dst, velocity, fmt):
+        # every input is finite; the result of each pair exceeds a double
+        code, out, err = run(capsys, "transform", "--from", src, "--to", dst,
+                             "--point", "1.7e308,1.7e308,1.7e308", "--site1", "0.1,0.2",
+                             "--site2", "0.3,0.4", "--face-angles", "0.3,0.2",
+                             "--format", fmt, *(["--velocity"] if velocity else []))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_large_finite_range(self, capsys):
+        code, out, _ = run(capsys, "transform", "--from", "cartesian",
+                           "--to", "spherical", "--point", "1e200,0,0")
+        assert code == 0
+        assert json.loads(out)["point"] == [1e200, 0.0, 0.0]
+
 
 class TestNonFinite:
     """Non-finite numbers are input errors: exit 3 and no NaN on stdout."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radarbias import coords
-from radarbias.errors import ZeroVector
+from radarbias.errors import NonFiniteTransform, ZeroVector
 
 import oracles
 
@@ -48,6 +48,18 @@ class TestSphericalCartesian:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             coords.cartesian_to_spherical([0.0, 0.0, 0.0])
+
+    def test_large_range_representable(self):
+        # squaring 1e200 overflows; the range itself does not
+        assert coords.cartesian_to_spherical([1e200, 0.0, 0.0]).range_m == 1e200
+        trip = coords.cartesian_to_spherical([1e200, 1e200, 1e200])
+        assert trip.range_m == pytest.approx(math.sqrt(3.0) * 1e200, rel=1e-15)
+        assert trip.azimuth == pytest.approx(math.pi / 4, rel=1e-15)
+        assert trip.elevation == pytest.approx(math.atan(1 / math.sqrt(2.0)), rel=1e-15)
+
+    def test_overflowing_range_rejected(self):
+        with pytest.raises(NonFiniteTransform):
+            coords.cartesian_to_spherical([1.7e308, 1.7e308, 1.7e308])
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(101)

@@ -5,7 +5,7 @@ import pytest
 
 from radarbias import filter_core as fc
 from radarbias import steady_state as ss
-from radarbias.errors import DimensionMismatch
+from radarbias.errors import DimensionMismatch, SingularInnovation
 
 import oracles
 
@@ -404,3 +404,99 @@ class TestStepComposition:
                 model, replace(predicted, gain=np.asarray(gain, dtype=float)), z)
             for name in ("x", "noise_cov", "bias_sens", "total_cov", "gain"):
                 assert getattr(stepped, name).tobytes() == getattr(composed, name).tobytes(), name
+
+
+def scalar_bracket_model(meas_var):
+    # no bias channel: the bracket is H S H' + N
+    return fc.BiasFilterModel(
+        transition=np.eye(2), output=np.array([[1.0, 0.0]]),
+        bias_matrix=np.array([[0.0]]), process_noise=np.zeros((2, 2)),
+        meas_noise=np.array([[meas_var]]), bias_cov=np.array([[0.0]]),
+        bias_mean=np.array([0.0]),
+        bias_fn=lambda x, lam: np.zeros(1),
+        bias_jac_state=lambda x, lam: np.zeros((1, 2)),
+        bias_jac_bias=lambda x, lam: np.zeros((1, 1)))
+
+
+class TestSingularInnovation:
+    @pytest.mark.parametrize("meas_var, s11", [(0.0, 0.0), (np.nan, 1.0), (np.inf, 1.0),
+                                               (1.0, np.nan), (1.0, np.inf)])
+    def test_scalar_bracket_zero_or_not_finite(self, meas_var, s11):
+        model = scalar_bracket_model(meas_var)
+        cov = np.array([[s11, 0.0], [0.0, 1.0]])
+        pred = fc.FilterState(x=np.zeros(2), noise_cov=cov, bias_sens=np.zeros((2, 1)),
+                              total_cov=cov)
+        with pytest.raises(SingularInnovation, match="scalar bracket"):
+            fc.optimal_gain(model, pred)
+
+    def ill_conditioned_model(self, small_var):
+        return fc.BiasFilterModel(
+            transition=np.eye(2), output=np.eye(2), bias_matrix=np.zeros((2, 1)),
+            process_noise=np.zeros((2, 2)), meas_noise=np.diag([1.0, small_var]),
+            bias_cov=np.array([[0.0]]), bias_mean=np.array([0.0]),
+            bias_fn=lambda x, lam: np.zeros(1),
+            bias_jac_state=lambda x, lam: np.zeros((1, 2)),
+            bias_jac_bias=lambda x, lam: np.zeros((1, 1)))
+
+    def test_ill_conditioned_bracket(self):
+        # bracket diag(1, 1e-13): condition 1e13 > 1e12
+        model = self.ill_conditioned_model(1e-13)
+        pred = fc.FilterState(x=np.zeros(2), noise_cov=np.zeros((2, 2)),
+                              bias_sens=np.zeros((2, 1)), total_cov=np.zeros((2, 2)))
+        with pytest.raises(SingularInnovation, match="condition 1e\\+13"):
+            fc.optimal_gain(model, pred)
+        # condition 1e11 is accepted, and the gain is S H' (H S H' + N)^-1 = 0
+        np.testing.assert_array_equal(
+            fc.optimal_gain(self.ill_conditioned_model(1e-11), pred), np.zeros((2, 2)))
+
+    def test_non_finite_matrix_bracket(self):
+        model = self.ill_conditioned_model(np.inf)
+        pred = fc.FilterState(x=np.zeros(2), noise_cov=np.eye(2), bias_sens=np.zeros((2, 1)),
+                              total_cov=np.eye(2))
+        with pytest.raises(SingularInnovation, match="not finite"):
+            fc.optimal_gain(model, pred)
+
+
+def reference_run(model, x0, cov0, zs, gain=None):
+    """States (x, M, D, S, K) of the oracle recursion from a posterior start."""
+    n, _, _, p = model.dims
+    x, m, d, s = np.asarray(x0, dtype=float), cov0, np.zeros((n, p)), cov0
+    states = []
+    for z in zs:
+        x, m, d, s, k = oracles.bias_filter_step(model, x, m, d, s, z, gain)
+        states.append((x, m, d, s, k))
+    return states
+
+
+class TestMatchesReferenceStep:
+    """The library step agrees with the oracle recursion to rounding over 500 steps."""
+
+    def check(self, model, gain, rng):
+        n, q, _, _ = model.dims
+        zs = rng.normal(0.0, 1.0, (500, q))
+        cov0 = np.eye(n) * 10.0
+        expected = reference_run(model, np.zeros(n), cov0, zs, gain)
+        state = fc.FilterState.initial(model, np.zeros(n), noise_cov=cov0)
+        for z, want in zip(zs, expected):
+            state = fc.step(model, state, z, gain=gain)
+            for name, ref in zip(("x", "noise_cov", "bias_sens", "total_cov", "gain"), want):
+                got = getattr(state, name)
+                np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(ref)), err_msg=name)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_constant_velocity_bias_model(self, fixed):
+        gain = np.array([[0.2], [ss.solve_beta(0.2, 2.0)]]) if fixed else None
+        self.check(cv_model(bias_var=4.0, bias_mean=0.5), gain, np.random.default_rng(31))
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_linear_bias_model(self, q, fixed):
+        rng = np.random.default_rng(37 + q)
+        model, _, _ = linear_bias_model(rng, q=q)
+        gain = None
+        if fixed:
+            # the settled trace-optimal gain keeps the closed loop stable
+            gain = reference_run(model, np.zeros(2), np.eye(2) * 10.0,
+                                 np.zeros((200, q)))[-1][4]
+        self.check(model, gain, rng)

@@ -110,8 +110,20 @@ _ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
 # B is finite and well conditioned, but e = diag(d)^-1/2 V S^-1 U' b overflows
 @example(bias=(1e300, 1e300, 1e300), p_t=(1e-3, 1e-3), azimuths=(0.3, 1.1),
          elevations=(0.2, -0.5), weights=(1e300,) * 6)
+# the objective gradient d e reaches 1.5e158, so its squared entries overflow
+@example(bias=(717.5098049197081, -325.404988502602, 587.3090555173121),
+         p_t=(9884.08030936275, 93383.34190299478),
+         azimuths=(1.4248018967413616, 0.008143226502757006),
+         elevations=(0.5341721593787583, 0.552477750604643),
+         weights=(7.99107135433303e150, 1.4871482158739896e156, 3.532263623769733e173,
+                  5.680037816716631e183, 1.2820587318996103e182, 5.4520761989867855e157))
 def test_registration_finite_or_documented_error(bias, p_t, azimuths, elevations, weights):
-    """The solve returns all-finite fields or raises SingularGeometry/SingularSystem."""
+    """The solve returns all-finite fields or raises SingularGeometry/SingularSystem.
+
+    The KKT residual matches the same ratio of norms taken on entries
+    scaled by the largest gradient entry, so it is nonzero whenever the
+    stationarity residual is, however large the gradient.
+    """
     problem = _registration_problem(bias, p_t, azimuths, elevations, weights)
     try:
         sol = reg.solve_absolute_bias(problem)
@@ -120,6 +132,15 @@ def test_registration_finite_or_documented_error(bias, p_t, azimuths, elevations
     values = [*sol.bias1.as_array(), *sol.bias2.as_array(), *sol.multipliers, sol.cost,
               sol.objective, sol.constraint_residual, sol.kkt_residual]
     assert all(map(math.isfinite, values))
+    c = np.hstack([-reg.build_A(problem.geom1), reg.build_A(problem.geom2)])
+    grad = np.array(weights) * np.concatenate([sol.bias1.as_array(), sol.bias2.as_array()])
+    resid = grad - c.T @ sol.multipliers
+    top = np.max(np.abs(grad))
+    if top > 0.0:
+        expected = np.linalg.norm(resid / top) / np.linalg.norm(grad / top)
+    else:
+        expected = np.linalg.norm(resid)
+    assert sol.kkt_residual == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 @settings(max_examples=300, deadline=None)
