@@ -11,11 +11,12 @@ Conventions: angles in radians, distances in meters. Azimuth (yaw) is
 measured from east (+x) toward north (+y); elevation (pitch) from the
 horizontal plane toward up (+z). All functions are pure.
 
-The inter-site position transforms are evaluated and returned in
-``np.longdouble``: at site-scale magnitudes (~1e7 m) double precision
-carries several nanometers of rounding per rotation, which is above the
-consistency budget these transforms are held to. Cast the results to
-``float`` when that does not matter.
+The inter-site position transforms are evaluated through ECI as
+R2 (R1' p + (o1 - o2)), with R a site's ECI-to-ENU rotation and o its ECI
+origin, and returned in ``np.longdouble``: at site-scale magnitudes
+(~1e7 m) double precision carries several nanometers of rounding per
+rotation, which is above the consistency budget these transforms are held
+to. Cast the results to ``float`` when that does not matter.
 """
 
 from __future__ import annotations
@@ -143,36 +144,33 @@ def face_to_enu(azimuth: float, elevation: float) -> np.ndarray:
     return enu_to_face(azimuth, elevation).T
 
 
-def _eci_to_enu(longitude, latitude) -> np.ndarray:
-    # dtype-generic: rows are the east, north, up directions in ECI
-    s_lon, c_lon = np.sin(longitude), np.cos(longitude)
-    s_lat, c_lat = np.sin(latitude), np.cos(latitude)
-    return np.array([
+def _site_frame(lon, lat, radius, ecc) -> tuple[np.ndarray, np.ndarray]:
+    # dtype-generic (float or np.longdouble), one sin/cos of each angle: the
+    # ECI-to-ENU rotation, rows the east, north, up directions in ECI, and
+    # the ECI position of the ellipsoid surface point at the site
+    s_lon, c_lon = np.sin(lon), np.cos(lon)
+    s_lat, c_lat = np.sin(lat), np.cos(lat)
+    rotation = np.array([
         [-s_lon, c_lon, 0.0],
         [-s_lat * c_lon, -s_lat * s_lon, c_lat],
         [c_lat * c_lon, c_lat * s_lon, s_lat],
-    ])
+    ], dtype=s_lat.dtype)
+    e2 = ecc * ecc
+    scale = radius / np.sqrt(1.0 - e2 * s_lat * s_lat)
+    origin = scale * np.array([c_lat * c_lon, c_lat * s_lon, (1.0 - e2) * s_lat],
+                              dtype=s_lat.dtype)
+    return rotation, origin
 
 
 def eci_to_enu(site: GeodeticSite) -> np.ndarray:
     """Rotation from the earth-centered frame to the site's ENU frame."""
-    return _eci_to_enu(float(site.longitude), float(site.latitude))
+    # the rotation does not depend on the earth model
+    return _site_frame(float(site.longitude), float(site.latitude), 1.0, 0.0)[0]
 
 
 def enu_to_eci(site: GeodeticSite) -> np.ndarray:
     """Inverse of eci_to_enu (the transpose)."""
     return eci_to_enu(site).T
-
-
-def _site_position_eci(longitude, latitude, radius, ecc) -> np.ndarray:
-    s_lat, c_lat = np.sin(latitude), np.cos(latitude)
-    e2 = ecc * ecc
-    scale = radius / np.sqrt(1.0 - e2 * s_lat * s_lat)
-    return scale * np.array([
-        c_lat * np.cos(longitude),
-        c_lat * np.sin(longitude),
-        (1.0 - e2) * s_lat,
-    ])
 
 
 def site_position_eci(site: GeodeticSite, earth: EarthModel = WGS84) -> np.ndarray:
@@ -183,10 +181,8 @@ def site_position_eci(site: GeodeticSite, earth: EarthModel = WGS84) -> np.ndarr
     and applies (1 - e^2) to the polar component only, i.e. the surface
     point at zero height.
     """
-    return _site_position_eci(
-        float(site.longitude), float(site.latitude),
-        float(earth.equatorial_radius_m), float(earth.eccentricity),
-    ).astype(float)
+    return _site_frame(float(site.longitude), float(site.latitude),
+                       float(earth.equatorial_radius_m), float(earth.eccentricity))[1]
 
 
 def enu1_to_enu2(site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
@@ -212,10 +208,8 @@ def inter_site_translation_eci(
 
 def _site_frame_ld(site: GeodeticSite, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
     # the site's ECI-to-ENU rotation and ECI origin in extended precision
-    lon, lat = _LD(site.longitude), _LD(site.latitude)
-    origin = _site_position_eci(lon, lat, _LD(earth.equatorial_radius_m),
-                                _LD(earth.eccentricity))
-    return _eci_to_enu(lon, lat), origin
+    return _site_frame(_LD(site.longitude), _LD(site.latitude),
+                       _LD(earth.equatorial_radius_m), _LD(earth.eccentricity))
 
 
 def enu1_position_to_enu2(
@@ -228,7 +222,7 @@ def enu1_position_to_enu2(
     p = np.asarray(p_enu1, dtype=_LD)
     r1, origin1 = _site_frame_ld(site1, earth)
     r2, origin2 = _site_frame_ld(site2, earth)
-    return -(r2 @ (origin2 - origin1)) + (r2 @ r1.T) @ p
+    return r2.dot(r1.T.dot(p) + (origin1 - origin2))
 
 
 def enu2_position_to_enu1(

@@ -2,10 +2,15 @@
 
 Everything here is deliberately written from first principles (literal
 trigonometric expressions, generic iterative minimization, textbook filter
-recursions) so it exercises none of the code paths under test.
+recursions) so it exercises none of the code paths under test. The
+registration solve reference reuses the library's A matrix and errors and
+keeps only the solve's own arithmetic in its first form.
 """
 
 import numpy as np
+
+from radarbias.errors import SingularSystem
+from radarbias.registration import _COND_LIMIT, build_A
 
 # ---------------------------------------------------------------------------
 # reference registration examples: inputs as printed, expected outputs
@@ -61,6 +66,22 @@ WIDE_WEIGHT_SPREAD_CONFIG = {
     "weights": {"k_r1_sq": 16.84, "k_psi1_sq": 6.056e10, "k_theta1_sq": 8.932e13,
                 "k_r2_sq": 0.0647, "k_psi2_sq": 2.806e12, "k_theta2_sq": 3.044e12},
 }
+
+#: a ``register`` document whose multiplier system has condition 2.4e13,
+#: with its increments and normalized cost from a 50-digit solve of the
+#: same first-order conditions
+ILL_CONDITIONED_CONFIG = {
+    "relative_bias": [-905.0, 527.0, 645.0],
+    "sensor1": {"p_t": 272200.0, "azimuth": -1.71, "elevation": 0.8},
+    "sensor2": {"p_t": 2403250.0, "azimuth": -2.74, "elevation": 1.2},
+    "weights": {"k_r1_sq": 1e11, "k_psi1_sq": 1e4, "k_theta1_sq": 1e-6,
+                "k_r2_sq": 10.0, "k_psi2_sq": 1e11, "k_theta2_sq": 1e7},
+}
+ILL_CONDITIONED_INCREMENTS = (
+    -5.9511802264804647e-13, -0.0037511222449541331, -0.008163314225686526,
+    0.004748174302812827, 8.559537704907234e-7, -0.0010370772043850909,
+)
+ILL_CONDITIONED_COST = 66.639701403219129
 
 # (rho, alpha) -> tabulated velocity gain; the second tabulated root is
 # always 4 - 2 alpha and is excluded
@@ -121,6 +142,70 @@ def enu_rotation_chain(site1, site2):
         [0.0, np.sin(l2), np.cos(l2)],
     ])
     return up @ along @ down
+
+
+def enu_position_through_rotation(p_enu1, site1, site2, earth):
+    """ENU(1) -> ENU(2) position as first written, in np.longdouble.
+
+    Three products: site 2's rotation applied to the origin difference,
+    and the composed rotation R2 R1' applied to the point. Each site frame
+    is built from its own literal trigonometry.
+    """
+    def frame(site):
+        lon, lat = np.longdouble(site.longitude), np.longdouble(site.latitude)
+        radius, ecc = np.longdouble(earth.equatorial_radius_m), np.longdouble(earth.eccentricity)
+        rot = np.array([
+            [-np.sin(lon), np.cos(lon), 0.0],
+            [-np.sin(lat) * np.cos(lon), -np.sin(lat) * np.sin(lon), np.cos(lat)],
+            [np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)],
+        ], dtype=np.longdouble)
+        e2 = ecc * ecc
+        scale = radius / np.sqrt(1 - e2 * np.sin(lat) ** 2)
+        origin = scale * np.array([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon),
+                                   (1 - e2) * np.sin(lat)], dtype=np.longdouble)
+        return rot, origin
+
+    r1, o1 = frame(site1)
+    r2, o2 = frame(site2)
+    return -(r2 @ (o2 - o1)) + (r2 @ r1.T) @ np.asarray(p_enu1, dtype=np.longdouble)
+
+
+def registration_solve_reference(problem):
+    """The two-radar registration solve as first written.
+
+    Returns (e, multipliers, cost, objective): the six increments, the
+    three multipliers and the normalized and quadratic costs. C is the
+    hstack of build_A's two matrices, every refinement pass steps through
+    the SVD factors as u @ ((u.T @ r) / s**2), and the costs are taken from
+    each sensor's three weights. Raises SingularGeometry and SingularSystem
+    on the same conditions as the library solve.
+    """
+    c = np.hstack([-build_A(problem.geom1, "sensor 1"), build_A(problem.geom2, "sensor 2")])
+    w1, w2 = problem.weights.sensor1(), problem.weights.sensor2()
+    d = np.concatenate([w1, w2])
+    b = problem.relative_bias
+    with np.errstate(all="ignore"):
+        bmat = c / np.sqrt(d)
+        if not np.all(np.isfinite(bmat)):
+            raise SingularSystem("weighted constraint matrix overflows")
+        u, s, _ = np.linalg.svd(bmat, full_matrices=False)
+        cond = (s[0] / s[-1]) ** 2
+        if not cond <= _COND_LIMIT:
+            raise SingularSystem(f"multiplier system is not invertible (condition {cond:.3g})")
+        multipliers, e, resid = np.zeros(3), np.zeros(6), -b
+        for _ in range(3):
+            step = u @ ((u.T @ resid) / s**2)
+            multipliers, e = multipliers - step, e - (c.T @ step) / d
+            resid = c @ e - b
+        cost = float(e[:3] ** 2 @ (1.0 / w1) + e[3:] ** 2 @ (1.0 / w2))
+        objective = 0.5 * float(w1 @ e[:3] ** 2 + w2 @ e[3:] ** 2)
+        grad = d * e
+        kkt, scale = np.hypot.reduce(grad - c.T @ multipliers), np.hypot.reduce(grad)
+        checks = [*e, *multipliers, cost, objective, np.linalg.norm(resid),
+                  kkt / scale if scale else kkt]
+    if not np.all(np.isfinite(checks)):
+        raise SingularSystem("solution overflows")
+    return e, multipliers, cost, objective
 
 
 def minimize_weighted_quadratic(weights6, rows, rhs, iterations=40):

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from radarbias import coords
 from radarbias import registration as reg
 from radarbias import steady_state as ss
 from radarbias.errors import (DegenerateDenominator, NonFiniteCovariance, NoValidRoot,
                               SingularGeometry, SingularSystem)
+
+import oracles
 
 MAX_FLOAT = 1.7976931348623157e308
 
@@ -162,3 +165,103 @@ def test_registration_solves_convention_range(bias, p_t, azimuths, elevations, f
                                                         weights))
     assert sol.constraint_residual <= 1e-9 * max(1.0, math.hypot(*bias))
     assert sol.kkt_residual <= 1e-9
+
+
+def _multiplier_condition(problem) -> float:
+    """(s_max/s_min)^2 of B = C diag(d)^-1/2, from the literal constraint rows."""
+    g1, g2 = problem.geom1, problem.geom2
+    rows = oracles.constraint_rows((g1.p_t, g1.azimuth, g1.elevation),
+                                   (g2.p_t, g2.azimuth, g2.elevation))
+    d = np.concatenate([problem.weights.sensor1(), problem.weights.sensor2()])
+    with np.errstate(all="ignore"):
+        s = np.linalg.svd(rows / np.sqrt(d), compute_uv=False)
+        return float((s[0] / s[-1]) ** 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bias=st.tuples(*[st.floats(min_value=-1e6, max_value=1e6)] * 3),
+       p_t=_pair(st.floats(min_value=1e2, max_value=1e7)),
+       azimuths=_pair(_ANGLE), elevations=_pair(_ANGLE), convention=st.booleans(),
+       factors=st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 6),
+       spread=st.tuples(*[st.floats(min_value=-6.0, max_value=12.0)] * 6))
+# degenerate pointing: elevation pi/2 leaves cos(elevation) below the tolerance
+@example(bias=(200.0, 500.0, 300.0), p_t=(25000.0, 50000.0), azimuths=(0.0, 0.0),
+         elevations=(0.7854, math.pi / 2), convention=True, factors=(0.0,) * 6,
+         spread=(0.0,) * 6)
+# 1 m targets with angle weights 1e12: the multiplier system's condition is 1e18
+@example(bias=(200.0, 500.0, 300.0), p_t=(1.0, 1.0), azimuths=(0.0, 0.0),
+         elevations=(0.0, 0.0), convention=False, factors=(0.0,) * 6,
+         spread=(-6.0, 12.0, 12.0, -6.0, 12.0, 12.0))
+def test_registration_matches_reference_solve(bias, p_t, azimuths, elevations, convention,
+                                              factors, spread):
+    """The solve agrees with the solve as first written within 1e-12 relative.
+
+    Weights are the unit range and 2 p_t^2 angle convention times 10^+-3,
+    or spread across 1e-6 to 1e12. Both forms raise the same error with
+    the same message on the same inputs. Problems within a factor of 2 of
+    the condition limit are skipped, since rounding can put the two forms
+    on either side of it.
+
+    Both sensors' increments are held to the largest of the six, since the
+    solve is accurate relative to the whole solution. Above condition about
+    1e3 the bound widens to 4 eps cond, the order of either form's own
+    forward error: at condition 7.1e4 both stand about 5e-12 from the exact
+    increments, on opposite sides. Differences below the smallest normal
+    double are ignored, since subnormal results carry fewer significant bits.
+    """
+    if convention:
+        base = [1.0, 2 * p_t[0] ** 2, 2 * p_t[0] ** 2, 1.0, 2 * p_t[1] ** 2, 2 * p_t[1] ** 2]
+        weights = [w * 10.0**x for w, x in zip(base, factors)]
+    else:
+        weights = [10.0**x for x in spread]
+    problem = _registration_problem(bias, p_t, azimuths, elevations, weights)
+    cond = _multiplier_condition(problem)
+    assume(not reg._COND_LIMIT / 2 <= cond <= 2 * reg._COND_LIMIT)
+    try:
+        e, multipliers, cost, objective = oracles.registration_solve_reference(problem)
+    except (SingularGeometry, SingularSystem) as exc:
+        with pytest.raises(type(exc)) as info:
+            reg.solve_absolute_bias(problem)
+        assert str(info.value) == str(exc)
+        return
+    sol = reg.solve_absolute_bias(problem)
+    rtol = max(1e-12, 4 * np.finfo(float).eps * cond)
+    for name, got, want, scale in (("bias1", sol.bias1.as_array(), e[:3], e),
+                                   ("bias2", sol.bias2.as_array(), e[3:], e),
+                                   ("multipliers", sol.multipliers, multipliers, multipliers),
+                                   ("cost", sol.cost, cost, cost),
+                                   ("objective", sol.objective, objective, objective)):
+        atol = rtol * np.max(np.abs(scale)) + np.finfo(float).tiny
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=atol, err_msg=name)
+
+
+_OFF_POLE_SITE = st.builds(coords.GeodeticSite, _ANGLE, st.floats(min_value=-1.5, max_value=1.5))
+_POINT = st.tuples(*[st.floats(min_value=-1e6, max_value=1e6)] * 3)
+
+
+def _max_abs_diff(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a, dtype=np.longdouble) - np.asarray(b))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(site1=_OFF_POLE_SITE, site2=_OFF_POLE_SITE, point=_POINT)
+# the same site: the transform is the identity
+@example(site1=coords.GeodeticSite(0.4, -0.7), site2=coords.GeodeticSite(0.4, -0.7),
+         point=(1e6, -1e6, 1e6))
+# antipodal sites, the farthest pair
+@example(site1=coords.GeodeticSite(0.0, 1.5), site2=coords.GeodeticSite(math.pi, -1.5),
+         point=(-1e6, 1e6, -1e6))
+def test_inter_site_position_round_trips(site1, site2, point):
+    """The long-double inter-site transforms invert each other within 1e-9 m.
+
+    ENU(1) -> ENU(2) -> ENU(1) and ENU -> ECI -> ENU return the point, and
+    ENU(1) -> ENU(2) matches the three-product form R2 R1' p - R2 (o2 - o1).
+    """
+    p = np.array(point)
+    p2 = coords.enu1_position_to_enu2(p, site1, site2)
+    assert _max_abs_diff(coords.enu2_position_to_enu1(p2, site1, site2), p) <= 1e-9
+    assert _max_abs_diff(p2, oracles.enu_position_through_rotation(
+        p, site1, site2, coords.WGS84)) <= 1e-9
+    for site in (site1, site2):
+        p_eci = coords.enu_position_to_eci(p, site)
+        assert _max_abs_diff(coords.eci_position_to_enu(p_eci, site), p) <= 1e-9

@@ -234,6 +234,16 @@ class TestSolve:
             np.testing.assert_allclose(increments(sol), e_oracle,
                                        rtol=1e-5, atol=1e-10)
 
+    def test_ill_conditioned_matches_exact_solution(self):
+        # condition 2.4e13: a step through G = U S^-2 U' formed whole is
+        # about 6e-10 off here, the step through the factors about 1e-15
+        sol = reg.solve_absolute_bias(
+            reg.RegistrationProblem.from_dict(oracles.ILL_CONDITIONED_CONFIG))
+        want = np.array(oracles.ILL_CONDITIONED_INCREMENTS)
+        np.testing.assert_allclose(increments(sol), want, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+        assert sol.cost == pytest.approx(oracles.ILL_CONDITIONED_COST, rel=1e-13)
+
     def test_global_optimality_sampled(self):
         # feasible perturbations keep the constraint via the sensor 2
         # elimination; the quadratic must not improve
