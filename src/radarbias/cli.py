@@ -137,6 +137,22 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return values
 
 
+def _json_rows(table: np.ndarray, columns) -> str:
+    """The rows as JSON objects, byte for byte what ``json.dumps`` prints.
+
+    Equals ``json.dumps([dict(zip(columns, map(_fmt, row))) for row in
+    table.tolist()], indent=2, allow_nan=False)``, built as text: the
+    encoder prints each rounded value with ``float.__repr__``, so the
+    values are formatted at six significant digits in one pass, parsed
+    back and printed the same way.
+    """
+    if not np.isfinite(table).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in columns) + "\n  }"
+    rounded = ("%.6g," * table.size % tuple(table.ravel().tolist())).split(",")[:-1]
+    return "[\n" + ",\n".join([row] * len(table)) % tuple(map(repr, map(float, rounded))) + "\n]"
+
+
 def cmd_gains(args) -> int:
     if args.grid:
         try:
@@ -157,8 +173,7 @@ def cmd_gains(args) -> int:
                                     meas_var=args.meas_var, bias_var=args.bias_var)
     columns = steady_state.GAIN_SWEEP_HEADER + ("excluded_root",)
     if args.format == "json":
-        text = json.dumps([dict(zip(columns, map(_fmt, row))) for row in table.tolist()],
-                          indent=2, allow_nan=False)
+        text = _json_rows(table, columns)
     else:
         # what csv.writer emits for these fields (none needs quoting, every
         # line ends in \r\n), formatted a block of rows at a time

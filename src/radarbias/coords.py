@@ -17,12 +17,16 @@ origin, and returned in ``np.longdouble``: at site-scale magnitudes
 (~1e7 m) double precision carries several nanometers of rounding per
 rotation, which is above the consistency budget these transforms are held
 to. Cast the results to ``float`` when that does not matter.
+
+A site's long-double frame (rotation and origin) is computed once per
+``GeodeticSite`` object and earth model and kept on the site, read-only,
+so repeated transforms between the same sites skip the trigonometry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,7 +61,14 @@ class SphericalTriple:
 
 @dataclass(frozen=True)
 class GeodeticSite:
-    """Sensor site given by geodetic longitude and latitude, radians."""
+    """Sensor site given by geodetic longitude and latitude, radians.
+
+    The long-double inter-site and ECI transforms compute the site's
+    frame once per site object, for the last earth model used, and keep
+    it on the object outside the dataclass fields: equality, hashing,
+    ``repr``, ``dataclasses.asdict``/``replace`` and pickling see only
+    the longitude and latitude.
+    """
 
     longitude: float
     latitude: float
@@ -67,6 +78,10 @@ class GeodeticSite:
             raise ValueError(f"latitude {self.latitude} outside [-pi/2, pi/2]")
         if not math.isfinite(self.longitude):
             raise ValueError(f"longitude {self.longitude} is not finite")
+
+    def __getstate__(self):
+        # the cached frame is derived: a copy or unpickled site recomputes it
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -207,9 +222,17 @@ def inter_site_translation_eci(
 
 
 def _site_frame_ld(site: GeodeticSite, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
-    # the site's ECI-to-ENU rotation and ECI origin in extended precision
-    return _site_frame(_LD(site.longitude), _LD(site.latitude),
-                       _LD(earth.equatorial_radius_m), _LD(earth.eccentricity))
+    # the site's ECI-to-ENU rotation and ECI origin in extended precision,
+    # computed once per site object and earth model; the arrays are shared,
+    # so they are read-only
+    cached = site.__dict__.get("_frame_ld")
+    if cached is not None and (cached[0] is earth or cached[0] == earth):
+        return cached[1], cached[2]
+    rotation, origin = _site_frame(_LD(site.longitude), _LD(site.latitude),
+                                   _LD(earth.equatorial_radius_m), _LD(earth.eccentricity))
+    rotation.flags.writeable = origin.flags.writeable = False
+    object.__setattr__(site, "_frame_ld", (earth, rotation, origin))
+    return rotation, origin
 
 
 def enu1_position_to_enu2(

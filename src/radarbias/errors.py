@@ -27,8 +27,9 @@ class SingularGeometry(ValueError):
 class SingularSystem(ValueError):
     """The bias solver's weighted constraint system cannot be solved in floating point.
 
-    Raised when the weighted constraint matrix or the solution overflows, or
-    when the multiplier system is too ill-conditioned to invert.
+    Raised when the weighted constraint matrix or the solution overflows,
+    when the multiplier system is too ill-conditioned to invert, or when
+    the solution misses the constraint beyond rounding.
     """
 
 

@@ -19,6 +19,7 @@ Two cost figures are reported on solutions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,6 +32,9 @@ COS_ELEVATION_TOL = 1e-8
 MIN_RANGE_M = 1e-6
 
 _COND_LIMIT = 1e14
+# a returned solution meets the constraint to this fraction of |relative_bias|,
+# or to the smallest normal double, below which a residual is rounding
+_CONSTRAINT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -240,13 +244,17 @@ def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:
     B = C diag(d)^-1/2. One SVD B = U S V' gives the condition
     (s_max/s_min)^2 of B B' and its inverse G = U S^-2 U'. From zero, three
     refinement passes step the multipliers by -G r and the increments by
-    -(C'/d) G r on the constraint residual r. S^-2 U' and C'/d are formed
-    once per solve, and G r is taken as U (S^-2 U' r): G formed as one
-    matrix loses up to 1e-10 of e at condition 1e13. Taking e from a keeps
-    stationarity exact to rounding for any weight spread, and the passes
-    do the same for the constraint. Raises SingularGeometry for degenerate
-    pointing, and SingularSystem if B or the solution overflows or B B' is
-    too ill-conditioned to invert.
+    -(C'/d) G r on the constraint residual r. U S^-1, S^-1 U' and C'/d are
+    formed once per solve, and G r is taken as (U S^-1)(S^-1 U' r): G
+    formed as one matrix loses up to 1e-10 of e at condition 1e13, and
+    S^-2 formed at all overflows once s exceeds about 1.3e154. Taking e
+    from a keeps stationarity exact to rounding for any weight spread, and
+    the passes do the same for the constraint; the third pass is needed
+    near the condition limit. Raises SingularGeometry for degenerate pointing, and
+    SingularSystem if B or the solution overflows, B B' is too
+    ill-conditioned to invert, or the solution misses the constraint by
+    more than 1e-9 of |relative_bias| and more than the smallest normal
+    double (multipliers below the smallest double, for instance).
     """
     c = _constraint_matrix(problem)
     d = _weight_vector(problem.weights)
@@ -259,18 +267,21 @@ def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:
         cond = (s[0] / s[-1]) ** 2
         if not cond <= _COND_LIMIT:
             raise SingularSystem(f"multiplier system is not invertible (condition {cond:.3g})")
-        ut_s2, ct_d = u.T / (s * s)[:, None], c.T / d[:, None]
+        u_s, ut_s, ct_d = u / s, u.T / s[:, None], c.T / d[:, None]
         multipliers, e, resid = np.zeros(3), np.zeros(6), -problem.relative_bias
         for _ in range(3):
-            step = u.dot(ut_s2.dot(resid))
+            step = u_s.dot(ut_s.dot(resid))
             multipliers, e = multipliers - step, e - ct_d.dot(step)
             resid = c.dot(e) - problem.relative_bias
         objective, cost = _costs(e, d)
-        constraint_resid = float(np.linalg.norm(resid))
+        constraint_resid = math.hypot(*resid.tolist())
         kkt = _kkt_residual(c, d, e, multipliers)
     if not (np.isfinite(e).all() and np.isfinite(multipliers).all()
             and all(map(math.isfinite, (cost, objective, constraint_resid, kkt)))):
         raise SingularSystem("solution overflows")
+    bias_norm = math.hypot(*problem.relative_bias.tolist())
+    if not constraint_resid <= max(_CONSTRAINT_RTOL * bias_norm, sys.float_info.min):
+        raise SingularSystem(f"solution misses the constraint by {constraint_resid:.3g} m")
     return RegistrationSolution(
         bias1=SphericalTriple(*e[:3].tolist()), bias2=SphericalTriple(*e[3:].tolist()),
         cost=cost, objective=objective, multipliers=multipliers,

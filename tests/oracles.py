@@ -7,6 +7,8 @@ registration solve reference reuses the library's A matrix and errors and
 keeps only the solve's own arithmetic in its first form.
 """
 
+import json
+
 import numpy as np
 
 from radarbias.errors import SingularSystem
@@ -82,6 +84,22 @@ ILL_CONDITIONED_INCREMENTS = (
     0.004748174302812827, 8.559537704907234e-7, -0.0010370772043850909,
 )
 ILL_CONDITIONED_COST = 66.639701403219129
+
+#: a ``register`` document with condition 3.4e13 on which two refinement
+#: passes of the solve stop about 4e-12 (relative to the largest increment)
+#: from its 50-digit solution below, and three passes within 1e-15
+THREE_PASS_CONFIG = {
+    "relative_bias": [824.0, -143.0, -168.0],
+    "sensor1": {"p_t": 8380000.0, "azimuth": -2.3, "elevation": -1.28},
+    "sensor2": {"p_t": 153000.0, "azimuth": -1.88, "elevation": 0.34},
+    "weights": {"k_r1_sq": 1e12, "k_psi1_sq": 1e12, "k_theta1_sq": 0.1,
+                "k_r2_sq": 1e4, "k_psi2_sq": 1e11, "k_theta2_sq": 1e-5},
+}
+THREE_PASS_INCREMENTS = (
+    1.3744398060846500437e-12, -8.3894053285849698899e-5, 5.6308332590087282693e-5,
+    3.9483841032317184668e-4, 1.4231791940808252981e-5, -2.2676971447601437943e-4,
+)
+THREE_PASS_COST = 0.0051424820622262359333
 
 # (rho, alpha) -> tabulated velocity gain; the second tabulated root is
 # always 4 - 2 alpha and is excluded
@@ -314,3 +332,13 @@ def gain_grid_reference(rhos, alphas, period, meas_var, bias_var):
             moduli = sorted(np.abs(np.linalg.eigvals(f)))
             rows.append([b, *moduli, s_dot[0, 0], s_dot[1, 0]])
     return np.array(rows)
+
+
+def gains_json_reference(table, columns):
+    """``radarbias gains --format json`` text through the standard encoder.
+
+    Each value is rounded to six significant digits and the row objects
+    are printed by ``json.dumps(..., indent=2, allow_nan=False)``.
+    """
+    rounded = [{c: float(f"{v:.6g}") for c, v in zip(columns, row)} for row in table.tolist()]
+    return json.dumps(rounded, indent=2, allow_nan=False) + "\n"

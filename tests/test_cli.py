@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from radarbias import registration
+from radarbias import registration, steady_state
 from radarbias.cli import main
 
 import oracles
@@ -221,6 +221,28 @@ class TestGains:
         json_rows = json.loads(json_out)
         assert len(csv_rows) == 9
         assert csv_rows == json_rows
+
+    @pytest.mark.parametrize("rhos,alphas,bias_var", [
+        ([2.0], [0.2], 0.0),
+        ([2.0, 4.0, 6.0, 8.0, 10.0], [0.2, 0.4, 0.5], 4.0),
+        # the benchmark's 100x100 gain-design grid: log-spaced rho, seeded jitter
+        ((10.0 ** (np.linspace(-2.0, 2.0, 100)
+                   + np.random.default_rng(3).uniform(-1e-3, 1e-3, 100))).tolist(),
+         (1.5 * np.arange(1, 101) / 100 * (1.0 - np.random.default_rng(4).uniform(
+             0.0, 1e-3, 100))).tolist(), 4.0),
+        # values printed with negative and positive exponents, and positionally
+        # up to 1e16 where six-digit formatting would use an exponent
+        ([1e-3, 0.5, 1e4], [1e-4, 3e-3, 0.7, 1.99], 3e16),
+        ([2.0], [0.2], 1.5e6),
+    ])
+    def test_json_bytes_equal_standard_encoder(self, capsys, rhos, alphas, bias_var):
+        grid = ",".join(map(repr, rhos)) + ":" + ",".join(map(repr, alphas))
+        code, out, _ = run(capsys, "gains", "--grid", grid, "--bias-var", repr(bias_var),
+                           "--format", "json")
+        assert code == 0
+        table = steady_state.gain_table(rhos, alphas, bias_var=bias_var)
+        assert out == oracles.gains_json_reference(
+            table, steady_state.GAIN_SWEEP_HEADER + ("excluded_root",))
 
     def test_missing_arguments_exit_three(self, capsys):
         code, _, _ = run(capsys, "gains", "--rho", "2")

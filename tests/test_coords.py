@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -218,6 +221,76 @@ class TestInterSite:
         p_eci = coords.enu_position_to_eci(p_enu, site)
         back = coords.eci_position_to_enu(p_eci, site)
         assert float(np.abs(np.asarray(back, dtype=float) - p_enu).max()) < 1e-9
+
+
+class TestSiteFrameCache:
+    """A site's long-double frame is computed once per site object and earth model."""
+
+    @staticmethod
+    def transforms(s1, s2, p, earth=coords.WGS84):
+        return [coords.enu1_position_to_enu2(p, s1, s2, earth),
+                coords.enu2_position_to_enu1(p, s1, s2, earth),
+                coords.enu1_velocity_to_enu2(p, s1, s2),
+                coords.enu2_velocity_to_enu1(p, s1, s2),
+                coords.enu_position_to_eci(p, s1, earth),
+                coords.eci_position_to_enu(p, s2, earth)]
+
+    @staticmethod
+    def fresh(site):
+        return coords.GeodeticSite(site.longitude, site.latitude)
+
+    def test_cached_and_fresh_bit_identical(self):
+        rng = np.random.default_rng(43)
+        sites = [coords.GeodeticSite(rng.uniform(-np.pi, np.pi), rng.uniform(-1.5, 1.5))
+                 for _ in range(40)]
+        for _ in range(500):
+            i, j = rng.integers(len(sites), size=2)
+            s1, s2 = sites[i], sites[j]
+            p = rng.uniform(-1e7, 1e7, 3)
+            cached = self.transforms(s1, s2, p)
+            for got, want in zip(cached, self.transforms(self.fresh(s1), self.fresh(s2), p)):
+                assert got.dtype == np.longdouble
+                assert np.array_equal(got, want)
+
+    def test_frames_are_read_only(self):
+        site = coords.GeodeticSite(0.3, -0.4)
+        rotation, origin = coords._site_frame_ld(site, coords.WGS84)
+        for array in (rotation, origin, rotation.T):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # results are the caller's to change and do not alias the frames
+        out = coords.enu_position_to_eci(np.zeros(3), site)
+        out[0] = 0.0
+        assert coords.enu_position_to_eci(np.zeros(3), site)[0] == origin[0] != 0.0
+
+    def test_earth_model_switch(self):
+        custom = coords.EarthModel(6.4e6, 0.05)
+        s1, s2 = coords.GeodeticSite(0.1, 0.7), coords.GeodeticSite(-0.4, 0.2)
+        p = np.array([5e4, 1e4, 0.0])
+        results = {}
+        for earth in (coords.WGS84, custom, coords.WGS84, custom):
+            got = self.transforms(s1, s2, p, earth)
+            want = self.transforms(self.fresh(s1), self.fresh(s2), p, earth)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            results.setdefault(earth, got)
+        assert not np.array_equal(results[coords.WGS84][0], results[custom][0])
+        # an equal earth model reuses the frames computed for WGS84
+        frames = coords._site_frame_ld(s1, coords.WGS84)
+        again = coords._site_frame_ld(s1, coords.EarthModel())
+        assert all(a is b for a, b in zip(frames, again))
+
+    def test_site_value_semantics_unchanged(self):
+        used, never = coords.GeodeticSite(0.25, -0.5), coords.GeodeticSite(0.25, -0.5)
+        coords.enu1_position_to_enu2(np.ones(3), used, coords.GeodeticSite(0.3, -0.5))
+        assert used == never and hash(used) == hash(never) and repr(used) == repr(never)
+        assert dataclasses.asdict(used) == dataclasses.asdict(never)
+        assert dataclasses.replace(used) == never
+        assert dataclasses.replace(used, latitude=0.1) == coords.GeodeticSite(0.25, 0.1)
+        assert pickle.dumps(used) == pickle.dumps(never)
+        for clone in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
+            assert clone == never
+            assert np.array_equal(coords.enu_position_to_eci(np.ones(3), clone),
+                                  coords.enu_position_to_eci(np.ones(3), never))
 
 
 class TestValidation:

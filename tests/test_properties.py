@@ -1,6 +1,7 @@
 """Property tests over wide input ranges (hypothesis)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -120,12 +121,35 @@ _ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
          elevations=(0.5341721593787583, 0.552477750604643),
          weights=(7.99107135433303e150, 1.4871482158739896e156, 3.532263623769733e173,
                   5.680037816716631e183, 1.2820587318996103e182, 5.4520761989867855e157))
+# singular values of B near 5e154: s^2 overflows, so S^-2 must never be formed
+@example(bias=(0.0, 2872411494445433.0, 0.0), p_t=(9.339079857202503e+307, 1e+308),
+         azimuths=(-0.00390625, 0.14186591344230592), elevations=(2.0, 0.0),
+         weights=(18647152777233.0, 4.0550362386713335e+306, 1.6732734652793561e+308, 1.0,
+                  6.477304069222615e+307, 1.2704566765491444e+308))
+# the multipliers (about 1e-560) underflow to zero, so e = 0 misses the constraint
+@example(bias=(0.0, 0.0, 1.0), p_t=(8.539111099945366e+272, 7.185327670879022e+279),
+         azimuths=(0.0, 0.0), elevations=(0.0, 1.0), weights=(1.0,) * 6)
+# the stationarity residual is one subnormal entry against a gradient of 1.7e17
+@example(bias=(1.9774787707373844e+16, -4.049289740596061e+16, -5.478708156052205e+16),
+         p_t=(1.5125573196513022e+307, 5.713819934055139e+307), azimuths=(1.25, 0.0),
+         elevations=(0.0, 0.5888973107571154),
+         weights=(1.0, 3.7110890166882857e+307, 1.0439199628251882e+308, 1.0,
+                  1.7976931348623157e+308, 9.401334070263133e+307))
+# the residual is a cancellation of 2e-146 terms with subnormal multipliers, so
+# C' a taken by another product routine differs from the solve's in the second digit
+@example(bias=(0.0, 0.0, 1.0), p_t=(3.2110313063224687e+162, 6.478470760948815e+307),
+         azimuths=(0.0, 0.0), elevations=(1.0, 0.0),
+         weights=(1.0, 5522.0, 10648064991.0, 1.0, 1.2947575701066162e+295,
+                  1.3561521655319911e+308))
 def test_registration_finite_or_documented_error(bias, p_t, azimuths, elevations, weights):
     """The solve returns all-finite fields or raises SingularGeometry/SingularSystem.
 
-    The KKT residual matches the same ratio of norms taken on entries
-    scaled by the largest gradient entry, so it is nonzero whenever the
-    stationarity residual is, however large the gradient.
+    A returned solution meets the constraint to 1e-9 of the relative bias,
+    or to the smallest normal double. The KKT residual matches the same
+    ratio of norms, each vector's norm taken on its entries scaled by its
+    own largest entry, so it is nonzero whenever the stationarity residual
+    is, however large the gradient or small the residual. The residual is
+    formed with the solve's product, so the check compares the norms alone.
     """
     problem = _registration_problem(bias, p_t, azimuths, elevations, weights)
     try:
@@ -135,14 +159,16 @@ def test_registration_finite_or_documented_error(bias, p_t, azimuths, elevations
     values = [*sol.bias1.as_array(), *sol.bias2.as_array(), *sol.multipliers, sol.cost,
               sol.objective, sol.constraint_residual, sol.kkt_residual]
     assert all(map(math.isfinite, values))
+    assert sol.constraint_residual <= max(1e-9 * math.hypot(*bias), sys.float_info.min)
     c = np.hstack([-reg.build_A(problem.geom1), reg.build_A(problem.geom2)])
     grad = np.array(weights) * np.concatenate([sol.bias1.as_array(), sol.bias2.as_array()])
-    resid = grad - c.T @ sol.multipliers
-    top = np.max(np.abs(grad))
-    if top > 0.0:
-        expected = np.linalg.norm(resid / top) / np.linalg.norm(grad / top)
-    else:
-        expected = np.linalg.norm(resid)
+    resid = grad - c.T.dot(sol.multipliers)
+
+    def norm(v):
+        top = np.max(np.abs(v))
+        return top * np.linalg.norm(v / top) if top > 0.0 else 0.0
+
+    expected = norm(resid) / norm(grad) if norm(grad) > 0.0 else norm(resid)
     assert sol.kkt_residual == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
@@ -192,6 +218,9 @@ def _multiplier_condition(problem) -> float:
 @example(bias=(200.0, 500.0, 300.0), p_t=(1.0, 1.0), azimuths=(0.0, 0.0),
          elevations=(0.0, 0.0), convention=False, factors=(0.0,) * 6,
          spread=(-6.0, 12.0, 12.0, -6.0, 12.0, 12.0))
+# a subnormal relative bias: the constraint residual is one rounding step of 5e-324
+@example(bias=(0.0, 0.0, 5e-324), p_t=(100.0, 100.0), azimuths=(0.0, 0.0),
+         elevations=(0.0, 0.0), convention=False, factors=(0.0,) * 6, spread=(0.0,) * 6)
 def test_registration_matches_reference_solve(bias, p_t, azimuths, elevations, convention,
                                               factors, spread):
     """The solve agrees with the solve as first written within 1e-12 relative.

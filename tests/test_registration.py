@@ -235,14 +235,21 @@ class TestSolve:
                                        rtol=1e-5, atol=1e-10)
 
     def test_ill_conditioned_matches_exact_solution(self):
-        # condition 2.4e13: a step through G = U S^-2 U' formed whole is
-        # about 6e-10 off here, the step through the factors about 1e-15
-        sol = reg.solve_absolute_bias(
-            reg.RegistrationProblem.from_dict(oracles.ILL_CONDITIONED_CONFIG))
-        want = np.array(oracles.ILL_CONDITIONED_INCREMENTS)
-        np.testing.assert_allclose(increments(sol), want, rtol=0.0,
-                                   atol=1e-13 * np.max(np.abs(want)))
-        assert sol.cost == pytest.approx(oracles.ILL_CONDITIONED_COST, rel=1e-13)
+        cases = (
+            # condition 2.4e13: a step through G = U S^-2 U' formed whole is
+            # about 6e-10 off here, the step through the factors about 1e-15
+            (oracles.ILL_CONDITIONED_CONFIG, oracles.ILL_CONDITIONED_INCREMENTS,
+             oracles.ILL_CONDITIONED_COST),
+            # condition 3.4e13: two refinement passes stop about 4e-12 off
+            (oracles.THREE_PASS_CONFIG, oracles.THREE_PASS_INCREMENTS,
+             oracles.THREE_PASS_COST),
+        )
+        for config, want, cost in cases:
+            sol = reg.solve_absolute_bias(reg.RegistrationProblem.from_dict(config))
+            want = np.array(want)
+            np.testing.assert_allclose(increments(sol), want, rtol=0.0,
+                                       atol=1e-13 * np.max(np.abs(want)))
+            assert sol.cost == pytest.approx(cost, rel=1e-13)
 
     def test_global_optimality_sampled(self):
         # feasible perturbations keep the constraint via the sensor 2
