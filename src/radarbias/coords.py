@@ -20,7 +20,10 @@ to. Cast the results to ``float`` when that does not matter.
 
 A site's long-double frame (rotation and origin) is computed once per
 ``GeodeticSite`` object and earth model and kept on the site, read-only,
-so repeated transforms between the same sites skip the trigonometry.
+so repeated transforms between the same site objects skip the
+trigonometry. Only callers that reuse site objects gain: a transform
+between new site objects computes and stores both frames, which costs
+slightly more than computing them alone.
 """
 
 from __future__ import annotations
@@ -172,8 +175,9 @@ def _site_frame(lon, lat, radius, ecc) -> tuple[np.ndarray, np.ndarray]:
     ], dtype=s_lat.dtype)
     e2 = ecc * ecc
     scale = radius / np.sqrt(1.0 - e2 * s_lat * s_lat)
-    origin = scale * np.array([c_lat * c_lon, c_lat * s_lon, (1.0 - e2) * s_lat],
-                              dtype=s_lat.dtype)
+    # scalar products, not scale times an array: the same roundings, one array fewer
+    origin = np.array([scale * (c_lat * c_lon), scale * (c_lat * s_lon),
+                       scale * ((1.0 - e2) * s_lat)], dtype=s_lat.dtype)
     return rotation, origin
 
 
@@ -230,9 +234,19 @@ def _site_frame_ld(site: GeodeticSite, earth: EarthModel) -> tuple[np.ndarray, n
         return cached[1], cached[2]
     rotation, origin = _site_frame(_LD(site.longitude), _LD(site.latitude),
                                    _LD(earth.equatorial_radius_m), _LD(earth.eccentricity))
-    rotation.flags.writeable = origin.flags.writeable = False
-    object.__setattr__(site, "_frame_ld", (earth, rotation, origin))
+    rotation.setflags(write=False)
+    origin.setflags(write=False)
+    # a plain instance attribute, not a dataclass field; written past the
+    # frozen __setattr__
+    vars(site)["_frame_ld"] = (earth, rotation, origin)
     return rotation, origin
+
+
+def _site_rotation_ld(site: GeodeticSite) -> np.ndarray:
+    # the rotation does not depend on the earth model, so a frame cached
+    # under any earth model serves
+    cached = site.__dict__.get("_frame_ld")
+    return cached[1] if cached is not None else _site_frame_ld(site, WGS84)[0]
 
 
 def enu1_position_to_enu2(
@@ -258,10 +272,7 @@ def enu2_position_to_enu1(
 def enu1_velocity_to_enu2(v_enu1, site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
     """Velocity transform from ENU(1) to ENU(2): the rotation alone."""
     v = np.asarray(v_enu1, dtype=_LD)
-    # the rotations do not depend on the earth model
-    r1 = _site_frame_ld(site1, WGS84)[0]
-    r2 = _site_frame_ld(site2, WGS84)[0]
-    return (r2 @ r1.T) @ v
+    return (_site_rotation_ld(site2) @ _site_rotation_ld(site1).T) @ v
 
 
 def enu2_velocity_to_enu1(v_enu2, site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:

@@ -279,6 +279,23 @@ class TestSiteFrameCache:
         again = coords._site_frame_ld(s1, coords.EarthModel())
         assert all(a is b for a, b in zip(frames, again))
 
+    def test_velocity_keeps_any_earth_models_frame(self):
+        # the rotation does not depend on the earth model: velocity transforms
+        # take whichever frame is cached and leave it in place
+        custom = coords.EarthModel(6.4e6, 0.05)
+        s1, s2 = coords.GeodeticSite(0.1, 0.7), coords.GeodeticSite(-0.4, 0.2)
+        p = np.array([5e4, 1e4, 0.0])
+        position = coords.enu1_position_to_enu2(p, s1, s2, custom)
+        frames = [coords._site_frame_ld(s, custom) for s in (s1, s2)]
+        velocity = coords.enu1_velocity_to_enu2(p, s1, s2)
+        back = coords.enu2_velocity_to_enu1(p, s1, s2)
+        for s, frame in zip((s1, s2), frames):
+            assert all(a is b for a, b in zip(coords._site_frame_ld(s, custom), frame))
+        f1, f2 = self.fresh(s1), self.fresh(s2)
+        assert np.array_equal(velocity, coords.enu1_velocity_to_enu2(p, f1, f2))
+        assert np.array_equal(back, coords.enu2_velocity_to_enu1(p, f1, f2))
+        assert np.array_equal(position, coords.enu1_position_to_enu2(p, s1, s2, custom))
+
     def test_site_value_semantics_unchanged(self):
         used, never = coords.GeodeticSite(0.25, -0.5), coords.GeodeticSite(0.25, -0.5)
         coords.enu1_position_to_enu2(np.ones(3), used, coords.GeodeticSite(0.3, -0.5))

@@ -217,6 +217,21 @@ class TestSolve:
             assert sol.constraint_residual < 1e-6 * scale
             assert sol.kkt_residual < 1e-9
 
+    def test_kkt_residual_off_stationarity(self):
+        # a solution is stationary to rounding, so its KKT residual is rounding
+        # noise; off stationarity the figure is |d e - C' a| / |d e| to 1e-9
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            c = rng.normal(size=(3, 6)) * 10.0 ** rng.uniform(-40, 40)
+            d = 10.0 ** rng.uniform(-40, 40, 6)
+            e = rng.normal(size=6) * 10.0 ** rng.uniform(-40, 40)
+            a = rng.normal(size=3) * 10.0 ** rng.uniform(-40, 40)
+            grad = d * e
+            want = np.linalg.norm(grad - c.T @ a) / np.linalg.norm(grad)
+            assert reg._kkt_residual(c, d, e, a) == pytest.approx(want, rel=1e-9)
+        want = np.linalg.norm(c.T @ a)
+        assert reg._kkt_residual(c, d, np.zeros(6), a) == pytest.approx(want, rel=1e-9)
+
     def test_independent_minimizer_agreement(self):
         problems = [synth_registration_scenario(seed)[0] for seed in range(10)]
         problems.append(reg.RegistrationProblem.from_dict(oracles.WIDE_WEIGHT_SPREAD_CONFIG))
