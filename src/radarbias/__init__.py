@@ -59,7 +59,6 @@ from .steady_state import (
     fbar,
     fbar_eigenvalues,
     gain_polynomial,
-    gain_sweep,
     gain_table,
     predicted_covariances,
     solve_beta,

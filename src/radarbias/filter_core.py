@@ -18,6 +18,17 @@ operations (``optimal_gain``, ``measurement_update``) act on a predicted
 state. The bias function and its Jacobians are evaluated at the predicted
 estimate and the mean bias.
 
+State-free terms are kept on the model, outside its fields (so equality,
+``repr``, copies and pickles do not see them), and its arrays are read-only
+copies, so they cannot go stale. While both Jacobians return the values
+(dtype, shape, bytes) of the model's last call, He = H + W J_x,
+Ne = N + W J_b Lambda (W J_b)', W J_b and Lambda (W J_b)' are reused.
+``step`` with a fixed gain also reuses I - K He, (I - K H) Q (I - K H)',
+K N K', K W J_b and K Ne K' while the gain has the last fixed gain's bytes
+and the measurement terms were reused; ``measurement_update`` and the
+optimal gain form these afresh. A miss runs the same products, so the
+outputs are the same to the bit.
+
 The gain equation is solved directly for a scalar measurement (q = 1):
 the 1 x 1 bracket is accepted when it is finite and nonzero, which is
 exactly when its condition number is 1 rather than infinite, and the gain
@@ -29,7 +40,7 @@ solve. Otherwise ``SingularInnovation`` is raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,8 +56,11 @@ _GAIN_COND_LIMIT = 1e12
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    # floating-point drift control for covariance updates
-    return 0.5 * (a + a.T)
+    # floating-point drift control for covariance updates; halving the sum
+    # in place rounds as 0.5 * (a + a.T) does
+    b = a + a.T
+    b *= 0.5
+    return b
 
 
 @dataclass(frozen=True)
@@ -57,7 +71,8 @@ class BiasFilterModel:
     process_noise n x n, meas_noise q x q, bias_cov p x p, bias_mean p.
     ``bias_fn(x, lam) -> (m,)`` with Jacobians ``bias_jac_state -> (m, n)``
     and ``bias_jac_bias -> (m, p)`` supplied by the caller; no automatic
-    differentiation is attempted.
+    differentiation is attempted. The seven arrays are kept as read-only
+    float copies.
     """
 
     transition: np.ndarray
@@ -74,7 +89,10 @@ class BiasFilterModel:
     def __post_init__(self):
         for name in ("transition", "output", "bias_matrix", "process_noise",
                      "meas_noise", "bias_cov", "bias_mean"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            # a read-only copy: the caller's array stays writable
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         n, q, m, p = self.dims
         checks = {
             "transition": (self.transition, (n, n)),
@@ -88,6 +106,17 @@ class BiasFilterModel:
         for name, (arr, want) in checks.items():
             if arr.shape != want:
                 raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {want}")
+        eye = np.eye(n)
+        eye.flags.writeable = False
+        vars(self)["_eye"] = eye
+
+    def __getstate__(self):
+        # the kept terms are derived: a copy or unpickled model forms them again
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self.__post_init__()
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -145,15 +174,21 @@ def time_update(model: BiasFilterModel, state: FilterState) -> FilterState:
 
 
 def _measurement_pieces(model: BiasFilterModel, state: FilterState):
-    # evaluated once per predicted state; shared by gain and update
+    # evaluated once per predicted state; shared by gain and update. The
+    # state-free terms are kept on the model while the Jacobians repeat.
     jac_bias = np.atleast_2d(model.bias_jac_bias(state.x, model.bias_mean))
     jac_state = np.atleast_2d(model.bias_jac_state(state.x, model.bias_mean))
-    w_jb = model.bias_matrix.dot(jac_bias)                      # q x p
-    output_eff = model.output + model.bias_matrix.dot(jac_state)  # H + W du/dx
-    lam_wjb_t = model.bias_cov.dot(w_jb.T)                      # Lambda (W J_b)'
-    noise_eff = model.meas_noise + w_jb.dot(lam_wjb_t)
-    cross = state.bias_sens.dot(lam_wjb_t)                      # n x q
-    return output_eff, noise_eff, w_jb, cross
+    key = (jac_bias.dtype, jac_bias.shape, jac_bias.tobytes(),
+           jac_state.dtype, jac_state.shape, jac_state.tobytes())
+    kept = vars(model).get("_pieces")
+    if kept is None or kept[0] != key:
+        w_jb = model.bias_matrix.dot(jac_bias)                      # q x p
+        output_eff = model.output + model.bias_matrix.dot(jac_state)  # H + W du/dx
+        lam_wjb_t = model.bias_cov.dot(w_jb.T)                      # Lambda (W J_b)'
+        noise_eff = model.meas_noise + w_jb.dot(lam_wjb_t)
+        kept = vars(model)["_pieces"] = (key, (output_eff, noise_eff, w_jb, lam_wjb_t))
+    terms = kept[1]
+    return terms, state.bias_sens.dot(terms[3])                     # cross C: n x q
 
 
 def optimal_gain(model: BiasFilterModel, state: FilterState) -> np.ndarray:
@@ -172,7 +207,7 @@ def optimal_gain(model: BiasFilterModel, state: FilterState) -> np.ndarray:
 
 
 def _optimal_gain(state: FilterState, pieces) -> np.ndarray:
-    output_eff, noise_eff, _, cross = pieces
+    (output_eff, noise_eff, _, _), cross = pieces
     rhs = state.total_cov.dot(output_eff.T) + cross             # S He' + C
     # He rhs = He S He' + He C, so the bracket adds Ne and (He C)'
     bracket = output_eff.dot(rhs) + noise_eff + output_eff.dot(cross).T
@@ -208,9 +243,31 @@ def measurement_update(model: BiasFilterModel, state: FilterState,
                                _measurement_pieces(model, state))
 
 
+def _gain_terms(model: BiasFilterModel, k_gain: np.ndarray, terms):
+    # the update's products that depend only on the gain and the state-free
+    # measurement terms
+    output_eff, noise_eff, w_jb, _ = terms
+    eye, k_t = vars(model)["_eye"], k_gain.T
+    l_classic = eye - k_gain.dot(model.output)                 # I - K H
+    l_eff = eye - k_gain.dot(output_eff)                       # I - K (H + W du/dx)
+    return (l_eff, l_classic.dot(model.process_noise).dot(l_classic.T),
+            k_gain.dot(model.meas_noise).dot(k_t), k_gain.dot(w_jb),
+            k_gain.dot(noise_eff).dot(k_t))
+
+
+def _fixed_gain_terms(model: BiasFilterModel, k_gain: np.ndarray, terms):
+    # _gain_terms, kept on the model while the gain and the terms repeat
+    key = k_gain.tobytes()
+    kept = vars(model).get("_gain")
+    if kept is None or kept[0] != key or kept[1] is not terms:
+        kept = vars(model)["_gain"] = (key, terms, _gain_terms(model, k_gain, terms))
+    return kept[2]
+
+
 def _measurement_update(model: BiasFilterModel, state: FilterState, gain, z,
-                        pieces) -> FilterState:
-    # the update with ``gain``, which the returned state carries
+                        pieces, fixed: bool = False) -> FilterState:
+    # the update with ``gain``, which the returned state carries; a fixed
+    # gain's products are kept on the model
     k_gain = np.atleast_2d(np.asarray(gain, dtype=float))
     q, n = model.output.shape
     if k_gain.shape != (n, q):
@@ -219,28 +276,21 @@ def _measurement_update(model: BiasFilterModel, state: FilterState, gain, z,
     if z.shape != (q,):
         raise DimensionMismatch(f"measurement has shape {z.shape}, expected {(q,)}")
 
-    output_eff, noise_eff, w_jb, cross = pieces
+    terms, cross = pieces
     predicted_meas = model.output.dot(state.x) + model.bias_matrix.dot(np.atleast_1d(
         model.bias_fn(state.x, model.bias_mean)))
     x = state.x + k_gain.dot(z - predicted_meas)
-
-    eye = np.eye(n)
-    l_classic = eye - k_gain.dot(model.output)                 # I - K H
-    l_eff = eye - k_gain.dot(output_eff)                       # I - K (H + W du/dx)
+    l_eff, lql_t, knk_t, k_wjb, k_ne_k_t = (_fixed_gain_terms if fixed else _gain_terms)(
+        model, k_gain, terms)
 
     # M next: the Q term propagates through I - K H (the bias function sees
     # the noise-free prediction), the rest through the effective closure.
-    q_cov = model.process_noise
     m_cov = _symmetrize(
-        l_eff.dot(state.noise_cov - q_cov).dot(l_eff.T)
-        + l_classic.dot(q_cov).dot(l_classic.T)
-        + k_gain.dot(model.meas_noise).dot(k_gain.T))
-    d = l_eff.dot(state.bias_sens) - k_gain.dot(w_jb)
+        l_eff.dot(state.noise_cov - model.process_noise).dot(l_eff.T) + lql_t + knk_t)
+    d = l_eff.dot(state.bias_sens) - k_wjb
     t_cross = l_eff.dot(cross).dot(k_gain.T)                   # L_e C K'
     s_cov = _symmetrize(
-        l_eff.dot(state.total_cov).dot(l_eff.T)
-        + k_gain.dot(noise_eff).dot(k_gain.T)
-        - t_cross - t_cross.T)
+        l_eff.dot(state.total_cov).dot(l_eff.T) + k_ne_k_t - t_cross - t_cross.T)
     return FilterState(x=x, noise_cov=m_cov, bias_sens=d, total_cov=s_cov, gain=gain)
 
 
@@ -256,5 +306,7 @@ def step(model: BiasFilterModel, state: FilterState, z,
     predicted = time_update(model, state)
     pieces = _measurement_pieces(model, predicted)
     if gain is None:
-        gain = _optimal_gain(predicted, pieces)
-    return _measurement_update(model, predicted, np.asarray(gain, dtype=float), z, pieces)
+        return _measurement_update(model, predicted, _optimal_gain(predicted, pieces), z,
+                                   pieces)
+    return _measurement_update(model, predicted, np.asarray(gain, dtype=float), z, pieces,
+                               fixed=True)

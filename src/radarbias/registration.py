@@ -223,11 +223,9 @@ def _constraint_matrix(problem: RegistrationProblem) -> np.ndarray:
 def _kkt_residual(c, d, e, multipliers) -> float:
     # hypot norms: squaring entries near 1e154 would overflow to inf
     grad = d * e
-    resid_norm = np.hypot.reduce(grad - c.T.dot(multipliers))
-    scale = np.hypot.reduce(grad)
-    if scale == 0.0:
-        return float(resid_norm)
-    return float(resid_norm / scale)
+    resid_norm = math.hypot(*(grad - c.T.dot(multipliers)).tolist())
+    scale = math.hypot(*grad.tolist())
+    return resid_norm / scale if scale else resid_norm
 
 
 def constraint_residual(bias1: SphericalTriple, bias2: SphericalTriple,

@@ -31,6 +31,12 @@ GAIN_SWEEP_HEADER = ("rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "
 _ZERO_TOL = 1e-12
 _RHO_CONSISTENCY_RTOL = 1e-9
 
+# the Jacobians of the additive scalar bias u(x, lam) = lam, shared by every
+# filter model: read-only, so returning them allocates nothing
+_JAC_STATE = np.zeros((1, 2))
+_JAC_BIAS = np.ones((1, 1))
+_JAC_STATE.flags.writeable = _JAC_BIAS.flags.writeable = False
+
 
 def _transition(period) -> np.ndarray:
     return np.array([[1.0, period], [0.0, 1.0]])
@@ -130,8 +136,8 @@ class SteadyStateConfig:
             bias_cov=np.array([[self.bias_var]]),
             bias_mean=np.array([bias_mean]),
             bias_fn=lambda x, lam: np.atleast_1d(lam),
-            bias_jac_state=lambda x, lam: np.zeros((1, 2)),
-            bias_jac_bias=lambda x, lam: np.ones((1, 1)),
+            bias_jac_state=lambda x, lam: _JAC_STATE,
+            bias_jac_bias=lambda x, lam: _JAC_BIAS,
         )
 
 
@@ -463,20 +469,6 @@ def validate_gains(gains: SteadyStateGains, config: SteadyStateConfig) -> GainVa
                           mq_positive_definite=mq_pd)
 
 
-@dataclass(frozen=True)
-class GainSweepRow:
-    """One (rho, alpha) grid point of a gain sweep."""
-
-    rho: float
-    alpha: float
-    beta: float
-    eig1_mod: float
-    eig2_mod: float
-    s11_dot: float
-    s21_dot: float
-    excluded_root: float
-
-
 def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
                bias_var: float = 0.0) -> np.ndarray:
     """Solve the gain cubic over a (rho, alpha) grid, as one array pass.
@@ -515,10 +507,3 @@ def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
     config_fault = (np.isnan(process_var)[rows], lambda at: config_errors[int(at(rows))])
     _raise_first([*beta_faults, config_fault, *cov_faults])
     return table
-
-
-def gain_sweep(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
-               bias_var: float = 0.0) -> list[GainSweepRow]:
-    """The rows of ``gain_table`` as ``GainSweepRow`` records (same order, same errors)."""
-    return [GainSweepRow(*row) for row in gain_table(
-        rhos, alphas, period=period, meas_var=meas_var, bias_var=bias_var).tolist()]

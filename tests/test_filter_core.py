@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -500,3 +502,101 @@ class TestMatchesReferenceStep:
             gain = reference_run(model, np.zeros(2), np.eye(2) * 10.0,
                                  np.zeros((200, q)))[-1][4]
         self.check(model, gain, rng)
+
+
+STATE_FIELDS = ("x", "noise_cov", "bias_sens", "total_cov", "gain")
+ARRAY_FIELDS = ("transition", "output", "bias_matrix", "process_noise", "meas_noise",
+                "bias_cov", "bias_mean")
+
+
+def additive_bias(x, lam):
+    return np.atleast_1d(lam)
+
+
+def zero_state_jacobian(x, lam):
+    return np.zeros((1, 2))
+
+
+def unit_bias_jacobian(x, lam):
+    return np.ones((1, 1))
+
+
+def picklable_model():
+    # the constant-velocity bias model with module-level callbacks
+    return replace(cv_model(bias_var=4.0, bias_mean=0.5), bias_fn=additive_bias,
+                   bias_jac_state=zero_state_jacobian, bias_jac_bias=unit_bias_jacobian)
+
+
+class TestKeptTerms:
+    """Terms kept on the model give the same bits as a model that never stepped."""
+
+    def fresh_step(self, model, state, z, gain):
+        # step ``model``, and a copy of it holding no kept terms, from one state
+        got = fc.step(model, state, z, gain=gain)
+        want = fc.step(replace(model), state, z, gain=gain)
+        for name in STATE_FIELDS:
+            assert np.asarray(getattr(got, name)).tobytes() \
+                == np.asarray(getattr(want, name)).tobytes(), name
+        return got
+
+    def test_alternating_fixed_gains(self):
+        model = cv_model(bias_var=4.0, bias_mean=0.5)
+        gains = (np.array([[0.2], [ss.solve_beta(0.2, 2.0)]]),
+                 np.array([[0.5], [ss.solve_beta(0.5, 2.0)]]))
+        rng = np.random.default_rng(41)
+        state = fc.FilterState.initial(model, np.zeros(2), noise_cov=np.eye(2))
+        for k in range(100):
+            state = self.fresh_step(model, state, rng.normal(0.0, 1.0, 1), gains[k % 2])
+            assert state.gain is gains[k % 2]
+
+    def test_arrays_mutated_in_place(self):
+        # the caller's gain and Jacobian arrays change between steps
+        rng = np.random.default_rng(43)
+        model, u_mat, _ = linear_bias_model(rng)
+        gain = rng.normal(0.0, 0.2, (2, 2))
+        state = fc.FilterState.initial(model, np.zeros(2), noise_cov=np.eye(2))
+        for k in range(60):
+            if k % 3 == 0:
+                gain[k % 2, 1] += 0.01
+            if k % 5 == 0:
+                u_mat[1, k % 2] *= 0.9
+            state = self.fresh_step(model, state, rng.normal(0.0, 1.0, 2), gain)
+            state = self.fresh_step(model, state, rng.normal(0.0, 1.0, 2), None)
+
+    @pytest.mark.parametrize("fixed_gain", [None, [[0.3], [0.05]]])
+    def test_state_dependent_jacobians(self, fixed_gain):
+        model = state_dependent_model()
+        rng = np.random.default_rng(47)
+        state = fc.FilterState.initial(model, np.array([0.2, -0.1]), noise_cov=np.eye(2))
+        for _ in range(500):
+            state = self.fresh_step(model, state, rng.normal(0.0, 1.0, 1), fixed_gain)
+
+    def test_model_arrays_read_only_inputs_writable(self):
+        inputs = {name: np.array(getattr(cv_model(), name)) for name in ARRAY_FIELDS}
+        model = replace(cv_model(), **inputs)
+        for name in ARRAY_FIELDS:
+            kept = getattr(model, name)
+            assert not kept.flags.writeable, name
+            assert inputs[name].flags.writeable, name
+            assert not np.shares_memory(kept, inputs[name]), name
+            with pytest.raises(ValueError):
+                kept[...] = 0.0
+        inputs["transition"][0, 1] = 7.0      # the caller's array, not the model's
+        assert model.transition[0, 1] == 1.0
+        copies = (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(
+            picklable_model())))
+        for other in copies:
+            assert not any(getattr(other, name).flags.writeable for name in ARRAY_FIELDS)
+
+    def test_copies_of_a_used_model_equal_an_unused_ones(self):
+        model = picklable_model()
+        before = pickle.dumps(model), repr(model), sorted(vars(model))
+        state = fc.FilterState.initial(model, np.zeros(2), noise_cov=np.eye(2))
+        for gain in (np.array([[0.2], [0.05]]), None):
+            state = fc.step(model, state, [0.3], gain=gain)
+        assert len(vars(model)) > len(before[2])          # terms are kept ...
+        assert (pickle.dumps(model), repr(model)) == before[:2]
+        for other in (copy.copy(model), copy.deepcopy(model),
+                      pickle.loads(pickle.dumps(model)), replace(model)):
+            # ... and no copy, pickle, repr or replacement sees them
+            assert (pickle.dumps(other), repr(other), sorted(vars(other))) == before

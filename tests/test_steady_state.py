@@ -247,27 +247,30 @@ class TestGainSweep:
             "rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "S21dot")
 
     def test_grid_rows(self):
-        rows = ss.gain_sweep([2.0, 10.0], [0.2, 0.5])
-        assert len(rows) == 4
-        by_key = {(r.rho, r.alpha): r for r in rows}
-        assert abs(by_key[(2.0, 0.2)].beta - 0.04385) < 5e-5
-        assert abs(by_key[(10.0, 0.5)].beta - 0.2959) < 5e-5
-        for r in rows:
-            assert r.excluded_root == pytest.approx(4 - 2 * r.alpha)
-            assert max(r.eig1_mod, r.eig2_mod) < 1.0
+        table = ss.gain_table([2.0, 10.0], [0.2, 0.5])
+        assert len(table) == 4
+        by_key = {(row[0], row[1]): row for row in table.tolist()}
+        assert abs(by_key[(2.0, 0.2)][2] - 0.04385) < 5e-5
+        assert abs(by_key[(10.0, 0.5)][2] - 0.2959) < 5e-5
+        for _, alpha, _, eig1_mod, eig2_mod, _, _, excluded in table.tolist():
+            assert excluded == pytest.approx(4 - 2 * alpha)
+            assert max(eig1_mod, eig2_mod) < 1.0
 
 
 class TestGainTable:
     """The grid evaluated as arrays, with the row-by-row loop's errors."""
 
-    def test_columns_match_gain_sweep(self):
+    def test_columns_match_scalar_entry_points(self):
+        # each column, in header order, is what the single-point function gives
         table = ss.gain_table([2.0, 10.0], [0.2, 0.5], period=1.5, meas_var=2.0,
                               bias_var=3.0)
         assert table.shape == (4, 8)
-        rows = ss.gain_sweep([2.0, 10.0], [0.2, 0.5], period=1.5, meas_var=2.0,
-                             bias_var=3.0)
-        assert [list(ss.GainSweepRow(*row).__dict__.values()) for row in table.tolist()] \
-            == [list(r.__dict__.values()) for r in rows]
+        for rho, alpha, *rest in table.tolist():
+            gains = ss.SteadyStateGains(alpha, ss.solve_beta(alpha, rho))
+            s_dot = ss.predicted_covariances(gains, ss.SteadyStateConfig.from_rho(
+                rho, period=1.5, meas_var=2.0, bias_var=3.0)).s_dot
+            assert rest == [gains.beta, *map(abs, ss.fbar_eigenvalues(gains)),
+                            s_dot[0, 0], s_dot[1, 0], ss.excluded_root(alpha)]
         # row-major: rho outer, alpha inner
         np.testing.assert_array_equal(table[:, :2], [[2, 0.2], [2, 0.5], [10, 0.2], [10, 0.5]])
 
@@ -281,7 +284,7 @@ class TestGainTable:
 
     def test_empty_grid(self):
         assert ss.gain_table([], [0.2]).shape == (0, 8)
-        assert ss.gain_sweep([2.0], []) == []
+        assert ss.gain_table([2.0], []).shape == (0, 8)
 
     def test_nonpositive_rho_reported_first(self):
         with pytest.raises(NoValidRoot, match=r"^noise ratio must be positive, got 0\.0$"):
