@@ -99,7 +99,7 @@ class RegistrationProblem:
         b = np.asarray(self.relative_bias, dtype=float)
         if b.shape != (3,):
             raise ValueError(f"relative_bias must be a 3-vector, got shape {b.shape}")
-        if not np.isfinite(b).all():
+        if not all(map(math.isfinite, b.tolist())):
             raise ValueError(f"relative_bias must be finite, got {b.tolist()}")
         object.__setattr__(self, "relative_bias", b)
 
@@ -259,29 +259,33 @@ def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:
     with np.errstate(all="ignore"):
         bmat = c / np.sqrt(d)
         # LAPACK's SVD may never return on a matrix holding inf or nan
-        if not np.isfinite(bmat).all():
+        if not all(map(math.isfinite, bmat.ravel().tolist())):
             raise SingularSystem("weighted constraint matrix overflows")
         u, s, _ = np.linalg.svd(bmat, full_matrices=False)
         cond = (s[0] / s[-1]) ** 2
         if not cond <= _COND_LIMIT:
             raise SingularSystem(f"multiplier system is not invertible (condition {cond:.3g})")
-        u_s, ut_s, ct_d = u / s, u.T / s[:, None], c.T / d[:, None]
+        u_s = u / s
+        ut_s, ct_d = u_s.T, (c / d).T
         multipliers, e, resid = np.zeros(3), np.zeros(6), -problem.relative_bias
         for _ in range(3):
             step = u_s.dot(ut_s.dot(resid))
-            multipliers, e = multipliers - step, e - ct_d.dot(step)
+            multipliers -= step
+            e -= ct_d.dot(step)
             resid = c.dot(e) - problem.relative_bias
         objective, cost = _costs(e, d)
         constraint_resid = math.hypot(*resid.tolist())
         kkt = _kkt_residual(c, d, e, multipliers)
-    if not (np.isfinite(e).all() and np.isfinite(multipliers).all()
-            and all(map(math.isfinite, (cost, objective, constraint_resid, kkt)))):
+    # d > 0, so a non-finite entry of e makes objective and cost non-finite,
+    # and a non-finite multiplier makes C' a, and so kkt, non-finite
+    if not all(map(math.isfinite, (cost, objective, constraint_resid, kkt))):
         raise SingularSystem("solution overflows")
     bias_norm = math.hypot(*problem.relative_bias.tolist())
     if not constraint_resid <= max(_CONSTRAINT_RTOL * bias_norm, sys.float_info.min):
         raise SingularSystem(f"solution misses the constraint by {constraint_resid:.3g} m")
+    increments = e.tolist()
     return RegistrationSolution(
-        bias1=SphericalTriple(*e[:3].tolist()), bias2=SphericalTriple(*e[3:].tolist()),
+        bias1=SphericalTriple(*increments[:3]), bias2=SphericalTriple(*increments[3:]),
         cost=cost, objective=objective, multipliers=multipliers,
         constraint_residual=constraint_resid, kkt_residual=kkt,
     )

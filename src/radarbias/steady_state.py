@@ -31,11 +31,24 @@ GAIN_SWEEP_HEADER = ("rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "
 _ZERO_TOL = 1e-12
 _RHO_CONSISTENCY_RTOL = 1e-9
 
-# the Jacobians of the additive scalar bias u(x, lam) = lam, shared by every
-# filter model: read-only, so returning them allocates nothing
+# the additive scalar bias u(x, lam) = lam of every filter model, in module-level
+# functions so that models pickle; its Jacobians are read-only, so returning
+# them allocates nothing
 _JAC_STATE = np.zeros((1, 2))
 _JAC_BIAS = np.ones((1, 1))
 _JAC_STATE.flags.writeable = _JAC_BIAS.flags.writeable = False
+
+
+def _additive_bias(x, lam):
+    return np.atleast_1d(lam)
+
+
+def _additive_bias_jac_state(x, lam):
+    return _JAC_STATE
+
+
+def _additive_bias_jac_bias(x, lam):
+    return _JAC_BIAS
 
 
 def _transition(period) -> np.ndarray:
@@ -135,9 +148,9 @@ class SteadyStateConfig:
             meas_noise=np.array([[self.meas_var]]),
             bias_cov=np.array([[self.bias_var]]),
             bias_mean=np.array([bias_mean]),
-            bias_fn=lambda x, lam: np.atleast_1d(lam),
-            bias_jac_state=lambda x, lam: _JAC_STATE,
-            bias_jac_bias=lambda x, lam: _JAC_BIAS,
+            bias_fn=_additive_bias,
+            bias_jac_state=_additive_bias_jac_state,
+            bias_jac_bias=_additive_bias_jac_bias,
         )
 
 
@@ -154,20 +167,10 @@ def kbar(gains: SteadyStateGains, period: float) -> np.ndarray:
     return np.array([gains.alpha, gains.beta / period])
 
 
-def lbar(gains: SteadyStateGains, period: float) -> np.ndarray:
-    """I - K H for the steady-state gain."""
-    return np.array([[1.0 - gains.alpha, 0.0], [-gains.beta / period, 1.0]])
-
-
 def fbar(gains: SteadyStateGains, period: float) -> np.ndarray:
     """Closed-loop error transition (I - K H) Phi."""
     a, b = gains.alpha, gains.beta
     return np.array([[1.0 - a, (1.0 - a) * period], [-b / period, 1.0 - b]])
-
-
-def cbar(gains: SteadyStateGains, period: float) -> np.ndarray:
-    """Bias coupling -K of the error recursion."""
-    return -kbar(gains, period)
 
 
 def _eigenvalues(a, b):
@@ -344,16 +347,6 @@ def _one_block(block_fn, gains, period, variance):
     return block
 
 
-def dbar() -> np.ndarray:
-    """Steady posterior bias sensitivity: (-1, 0) for any valid gains."""
-    return np.array([-1.0, 0.0])
-
-
-def ddot(gains: SteadyStateGains, period: float) -> np.ndarray:
-    """Steady predicted bias sensitivity F dbar = (alpha - 1, beta/T)."""
-    return np.array([gains.alpha - 1.0, gains.beta / period])
-
-
 @dataclass(frozen=True)
 class SteadyStateCovariances:
     """Steady covariances: updated M, predicted M and predicted total S."""
@@ -390,8 +383,8 @@ def predicted_covariances(gains: SteadyStateGains,
 
     m_bar is the updated noise covariance (measurement plus process
     parts); m_dot its one-step prediction Phi m_bar Phi' + Q; s_dot adds
-    the bias variance to the position entry only, since the predicted
-    bias sensitivity vector Phi dbar is (-1, 0). Raises
+    the bias variance to the position entry only, since the steady bias
+    sensitivity (-1, 0) is unchanged by Phi. Raises
     DegenerateDenominator for a vanishing denominator and
     NonFiniteCovariance when an entry overflows.
     """

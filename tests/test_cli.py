@@ -265,6 +265,16 @@ class TestSimulate:
         assert doc["n_samples"] == 200 * 20
         assert len(doc["run_seeds"]) == 200
 
+    @pytest.mark.parametrize("n_runs", [1, 2, 2000])
+    def test_json_bytes_equal_standard_encoder(self, tmp_path, capsys, n_runs):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_doc(n_runs=n_runs, n_steps=4)))
+        code, out, _ = run(capsys, "simulate", "--config", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["run_seeds"] == np.random.SeedSequence(5).generate_state(n_runs).tolist()
+        assert out == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
     def test_stream_version_reported(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario_doc(n_runs=20, n_steps=4)))

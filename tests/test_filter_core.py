@@ -323,7 +323,7 @@ class TestSteadyStateConsistency:
         expected = ss.steady_mn(gains, cfg.period, cfg.meas_var)
         np.testing.assert_allclose(state.noise_cov, expected, rtol=1e-8)
         # the bias sensitivity settles on the closed-form steady vector
-        np.testing.assert_allclose(state.bias_sens.ravel(), ss.dbar(), atol=1e-8)
+        np.testing.assert_allclose(state.bias_sens.ravel(), oracles.dbar(), atol=1e-8)
 
     def test_fixed_gain_converges_to_full_closed_forms(self):
         # with process noise and bias active, the posterior covariance
@@ -600,3 +600,17 @@ class TestKeptTerms:
                       pickle.loads(pickle.dumps(model)), replace(model)):
             # ... and no copy, pickle, repr or replacement sees them
             assert (pickle.dumps(other), repr(other), sorted(vars(other))) == before
+
+    def test_unpickled_steady_state_model_steps_bit_identically(self):
+        model = cv_model(bias_var=4.0, bias_mean=0.5)
+        clone = pickle.loads(pickle.dumps(model))
+        gain = np.array([[0.2], [ss.solve_beta(0.2, 2.0)]])
+        rng = np.random.default_rng(53)
+        state = other = fc.FilterState.initial(model, np.zeros(2), noise_cov=np.eye(2))
+        for k in range(100):
+            z, step_gain = rng.normal(0.0, 1.0, 1), gain if k < 50 else None
+            state = fc.step(model, state, z, gain=step_gain)
+            other = fc.step(clone, other, z, gain=step_gain)
+            for name in STATE_FIELDS:
+                assert np.asarray(getattr(state, name)).tobytes() \
+                    == np.asarray(getattr(other, name)).tobytes(), (k, name)

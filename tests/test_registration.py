@@ -3,7 +3,7 @@ import pytest
 
 from radarbias import registration as reg
 from radarbias.coords import SphericalTriple
-from radarbias.errors import SingularGeometry
+from radarbias.errors import SingularGeometry, SingularSystem
 from radarbias.sim_harness import synth_registration_scenario
 
 import oracles
@@ -156,12 +156,15 @@ class TestConstraint:
                                           SphericalTriple.from_array(e2), problem)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_relative_bias_rejected(self, bad):
         problem = make_problem("a")
-        with pytest.raises(ValueError, match="relative_bias"):
-            reg.RegistrationProblem(np.array([1.0, bad, 0.0]), problem.geom1,
-                                    problem.geom2, problem.weights)
+        for component in range(3):
+            bias = [1.0, 2.0, 3.0]
+            bias[component] = bad
+            with pytest.raises(ValueError, match="relative_bias must be finite"):
+                reg.RegistrationProblem(np.array(bias), problem.geom1,
+                                        problem.geom2, problem.weights)
 
 
 class TestSolve:
@@ -292,3 +295,17 @@ class TestSolve:
             geom2=reg.SensorGeometry(0.0, 0.0, 0.0), weights=base.weights)
         with pytest.raises(SingularGeometry, match="sensor 2"):
             reg.solve_absolute_bias(bad)
+
+    @pytest.mark.parametrize("bias,p_t,weights,message", [
+        # B is finite and well conditioned, but e = diag(d)^-1/2 V S^-1 U' b overflows
+        ((1e300, 1e300, 1e300), (1e-3, 1e-3), (1e300,) * 6, "solution overflows"),
+        # B = C diag(d)^-1/2 overflows: p_t 1e300 over sqrt(k_psi1_sq) 1e-150
+        ((100.0, 200.0, 300.0), (1e300, 5e4), (2.0, 1e-300, 1e9, 2.0, 5e9, 5e9),
+         "weighted constraint matrix overflows"),
+    ])
+    def test_overflow_raises_singular_system(self, bias, p_t, weights, message):
+        problem = reg.RegistrationProblem(
+            np.array(bias), reg.SensorGeometry(p_t[0], 0.3, 0.2),
+            reg.SensorGeometry(p_t[1], 1.1, -0.5), reg.BiasCostWeights(*weights))
+        with pytest.raises(SingularSystem, match=f"^{message}$"):
+            reg.solve_absolute_bias(problem)
