@@ -20,8 +20,6 @@ from .coords import (
     enu2_position_to_enu1,
     enu_to_face,
     face_to_enu,
-    inter_site_translation_eci,
-    site_position_eci,
     spherical_to_cartesian,
 )
 from .errors import (
@@ -45,8 +43,6 @@ from .registration import (
     SensorGeometry,
     build_A,
     constraint_residual,
-    evaluate_cost,
-    normalized_cost,
     relative_bias_from_positions,
     solve_absolute_bias,
 )
@@ -57,8 +53,6 @@ from .steady_state import (
     SteadyStateCovariances,
     SteadyStateGains,
     fbar,
-    fbar_eigenvalues,
-    gain_polynomial,
     gain_table,
     predicted_covariances,
     solve_beta,

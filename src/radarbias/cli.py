@@ -168,7 +168,7 @@ def cmd_gains(args) -> int:
         raise ConfigError("period and meas-var must be positive, bias-var nonnegative")
     table = steady_state.gain_table(rhos, alphas, period=args.period,
                                     meas_var=args.meas_var, bias_var=args.bias_var)
-    columns = steady_state.GAIN_SWEEP_HEADER + ("excluded_root",)
+    columns = steady_state.GAIN_SWEEP_HEADER
     if args.format == "json":
         text = _json_rows(table, columns)
     else:
@@ -216,18 +216,17 @@ def cmd_simulate(args) -> int:
 
 
 _FRAMES = ("spherical", "cartesian", "enu1", "enu2", "eci", "face")
+_ENU = ("enu1", "enu2")
 
 
-def _parse_site(text: str | None, name: str) -> coords.GeodeticSite:
+def _parse_pair(text: str | None, name: str, labels: str, needed_for: str) -> list[float]:
+    """The two finite numbers of ``--NAME A,B``; absent or malformed is a ConfigError."""
     if text is None:
-        raise ConfigError(f"--{name} LON,LAT is required for this frame pair")
+        raise ConfigError(f"--{name} {labels} is required for {needed_for}")
     values = _parse_float_list(text, name)
     if len(values) != 2:
-        raise ConfigError(f"--{name} expects LON,LAT")
-    try:
-        return coords.GeodeticSite(longitude=values[0], latitude=values[1])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--{name} expects {labels}")
+    return values
 
 
 def cmd_transform(args) -> int:
@@ -237,19 +236,12 @@ def cmd_transform(args) -> int:
     src, dst = args.from_frame, args.to_frame
     earth = coords.EarthModel(equatorial_radius_m=args.r_ee, eccentricity=args.eccentricity)
 
-    def site1():
-        return _parse_site(args.site1, "site1")
-
-    def site2():
-        return _parse_site(args.site2, "site2")
-
-    def face_angles():
-        if args.face_angles is None:
-            raise ConfigError("--face-angles AZ,EL is required for the face frame")
-        values = _parse_float_list(args.face_angles, "face-angles")
-        if len(values) != 2:
-            raise ConfigError("--face-angles expects AZ,EL")
-        return values
+    def site(frame):
+        # enu1 is the frame of --site1, enu2 of --site2; GeodeticSite's
+        # ValueError is an input error like a ConfigError
+        name = "site" + frame[-1]
+        return coords.GeodeticSite(*_parse_pair(getattr(args, name), name, "LON,LAT",
+                                                "this frame pair"))
 
     vec = np.array(point)
     # an overflow is reported below as a non-finite result, not as a warning
@@ -260,24 +252,21 @@ def cmd_transform(args) -> int:
             out = coords.spherical_to_cartesian(coords.SphericalTriple.from_array(vec))
         elif (src, dst) == ("cartesian", "spherical"):
             out = coords.cartesian_to_spherical(vec).as_array()
-        elif (src, dst) == ("enu1", "enu2"):
-            out = (coords.enu1_velocity_to_enu2(vec, site1(), site2()) if args.velocity
-                   else coords.enu1_position_to_enu2(vec, site1(), site2(), earth))
-        elif (src, dst) == ("enu2", "enu1"):
-            out = (coords.enu2_velocity_to_enu1(vec, site1(), site2()) if args.velocity
-                   else coords.enu2_position_to_enu1(vec, site1(), site2(), earth))
-        elif (src, dst) in (("enu1", "eci"), ("enu2", "eci")):
-            site = site1() if src == "enu1" else site2()
-            out = (coords.enu_to_eci(site) @ vec if args.velocity
-                   else coords.enu_position_to_eci(vec, site, earth))
-        elif (src, dst) in (("eci", "enu1"), ("eci", "enu2")):
-            site = site1() if dst == "enu1" else site2()
-            out = (coords.eci_to_enu(site) @ vec if args.velocity
-                   else coords.eci_position_to_enu(vec, site, earth))
-        elif (src, dst) in (("enu1", "face"), ("enu2", "face")):
-            out = coords.enu_to_face(*face_angles()) @ vec
-        elif (src, dst) in (("face", "enu1"), ("face", "enu2")):
-            out = coords.face_to_enu(*face_angles()) @ vec
+        elif src in _ENU and dst in _ENU:
+            # site 1 is read first in either direction
+            sites = {frame: site(frame) for frame in _ENU}
+            out = (coords.enu1_velocity_to_enu2(vec, sites[src], sites[dst]) if args.velocity
+                   else coords.enu1_position_to_enu2(vec, sites[src], sites[dst], earth))
+        elif src in _ENU and dst == "eci":
+            out = (coords.enu_to_eci(site(src)) @ vec if args.velocity
+                   else coords.enu_position_to_eci(vec, site(src), earth))
+        elif src == "eci" and dst in _ENU:
+            out = (coords.eci_to_enu(site(dst)) @ vec if args.velocity
+                   else coords.eci_position_to_enu(vec, site(dst), earth))
+        elif "face" in (src, dst) and (src in _ENU or dst in _ENU):
+            rotation = coords.enu_to_face(*_parse_pair(args.face_angles, "face-angles",
+                                                       "AZ,EL", "the face frame"))
+            out = (rotation if dst == "face" else rotation.T) @ vec
         else:
             raise ConfigError(f"unsupported frame pair {src} -> {dst}")
         values = [float(v) for v in out]

@@ -192,37 +192,13 @@ def enu_to_eci(site: GeodeticSite) -> np.ndarray:
     return eci_to_enu(site).T
 
 
-def site_position_eci(site: GeodeticSite, earth: EarthModel = WGS84) -> np.ndarray:
-    """Earth-centered position of the ellipsoid surface point at the site.
-
-    With eccentricity 0 this is the sphere point radius * (cosL cosO,
-    cosL sinO, sinL). The ellipsoid form divides by sqrt(1 - e^2 sin^2 L)
-    and applies (1 - e^2) to the polar component only, i.e. the surface
-    point at zero height.
-    """
-    return _site_frame(float(site.longitude), float(site.latitude),
-                       float(earth.equatorial_radius_m), float(earth.eccentricity))[1]
-
-
 def enu1_to_enu2(site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
     """Rotation from site 1's ENU frame to site 2's, through ECI.
 
-    Equals eci_to_enu(site2) @ enu_to_eci(site1); the transpose is the
-    reverse rotation.
+    Equals eci_to_enu(site2) @ enu_to_eci(site1); the transpose,
+    enu1_to_enu2(site2, site1), is the reverse rotation.
     """
     return eci_to_enu(site2) @ enu_to_eci(site1)
-
-
-def enu2_to_enu1(site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
-    """Rotation from site 2's ENU frame back to site 1's."""
-    return enu1_to_enu2(site1, site2).T
-
-
-def inter_site_translation_eci(
-    site1: GeodeticSite, site2: GeodeticSite, earth: EarthModel = WGS84
-) -> np.ndarray:
-    """Vector from site 1 to site 2 in earth-centered coordinates."""
-    return site_position_eci(site2, earth) - site_position_eci(site1, earth)
 
 
 def _site_frame_ld(site: GeodeticSite, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +257,13 @@ def enu2_velocity_to_enu1(v_enu2, site1: GeodeticSite, site2: GeodeticSite) -> n
 
 
 def enu_position_to_eci(p_enu, site: GeodeticSite, earth: EarthModel = WGS84) -> np.ndarray:
-    """Position in ECI of a point given in a site's ENU frame."""
+    """Position in ECI of a point given in a site's ENU frame.
+
+    The ENU origin, ``p_enu = 0``, is the ellipsoid surface point at the
+    site: with eccentricity 0 the sphere point radius * (cosL cosO,
+    cosL sinO, sinL); the ellipsoid form divides by sqrt(1 - e^2 sin^2 L)
+    and applies (1 - e^2) to the polar component only.
+    """
     r, origin = _site_frame_ld(site, earth)
     return origin + r.T @ np.asarray(p_enu, dtype=_LD)
 

@@ -183,35 +183,9 @@ def relative_bias_from_positions(p1_enu1, p2_enu1, p_1to2_enu1) -> np.ndarray:
     return p1 - base - p2
 
 
-def _increments(bias1: SphericalTriple, bias2: SphericalTriple) -> np.ndarray:
-    return np.concatenate([bias1.as_array(), bias2.as_array()])
-
-
 def _weight_vector(w: BiasCostWeights) -> np.ndarray:
     return np.array([w.k_r1_sq, w.k_psi1_sq, w.k_theta1_sq,
                      w.k_r2_sq, w.k_psi2_sq, w.k_theta2_sq])
-
-
-def _costs(e, d) -> tuple[float, float]:
-    # (objective, cost) of the six increments e under the six weights d
-    e_sq = e * e
-    return 0.5 * float(d.dot(e_sq)), float(e_sq.dot(1.0 / d))
-
-
-def evaluate_cost(bias1: SphericalTriple, bias2: SphericalTriple,
-                  weights: BiasCostWeights) -> float:
-    """Quadratic objective: sum over the six increments of k^2 * d^2 / 2."""
-    return _costs(_increments(bias1, bias2), _weight_vector(weights))[0]
-
-
-def normalized_cost(bias1: SphericalTriple, bias2: SphericalTriple,
-                    weights: BiasCostWeights) -> float:
-    """Normalized cost: sum over the six increments of d^2 / k^2.
-
-    This is the convention of the reference solution tables; the solver
-    reports it as ``cost`` alongside the minimized ``objective``.
-    """
-    return _costs(_increments(bias1, bias2), _weight_vector(weights))[1]
 
 
 def _constraint_matrix(problem: RegistrationProblem) -> np.ndarray:
@@ -231,7 +205,8 @@ def _kkt_residual(c, d, e, multipliers) -> float:
 def constraint_residual(bias1: SphericalTriple, bias2: SphericalTriple,
                         problem: RegistrationProblem) -> np.ndarray:
     """Constraint value A2 e2 - A1 e1 - relative_bias (zero when feasible)."""
-    return _constraint_matrix(problem).dot(_increments(bias1, bias2)) - problem.relative_bias
+    e = np.concatenate([bias1.as_array(), bias2.as_array()])
+    return _constraint_matrix(problem).dot(e) - problem.relative_bias
 
 
 def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:
@@ -273,7 +248,8 @@ def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:
             multipliers -= step
             e -= ct_d.dot(step)
             resid = c.dot(e) - problem.relative_bias
-        objective, cost = _costs(e, d)
+        e_sq = e * e
+        objective, cost = 0.5 * float(d.dot(e_sq)), float(e_sq.dot(1.0 / d))
         constraint_resid = math.hypot(*resid.tolist())
         kkt = _kkt_residual(c, d, e, multipliers)
     # d > 0, so a non-finite entry of e makes objective and cost non-finite,

@@ -27,12 +27,17 @@ from . import registration, steady_state
 from .coords import SphericalTriple
 from .errors import InvalidGains
 
-_MEAN_BIAS = 0.0  # the error statistics depend on the bias spread only
-
 #: version of the noise-stream layout, recorded in every report
 STREAM_VERSION = 2
 #: stream kinds of ``stream_draws``
 BIAS, PROCESS, MEASUREMENT = 0, 1, 2
+
+
+def _whole(value, name: str) -> int:
+    # an integral number (2e4 reads as 20000); a bool or a fraction would be truncated
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,11 @@ class SimScenario:
                 alpha=float(doc["gains"]["alpha"]),
                 beta=float(doc["gains"]["beta"]),
             ),
-            n_runs=int(doc["n_runs"]),
-            n_steps=int(doc["n_steps"]),
-            master_seed=int(doc["master_seed"]),
+            n_runs=_whole(doc["n_runs"], "n_runs"),
+            n_steps=_whole(doc["n_steps"], "n_steps"),
+            master_seed=_whole(doc["master_seed"], "master_seed"),
             initial_state=tuple(float(v) for v in doc.get("initial_state", (0.0, 0.0))),
-            burn_in=None if doc.get("burn_in") is None else int(doc["burn_in"]),
+            burn_in=None if doc.get("burn_in") is None else _whole(doc["burn_in"], "burn_in"),
         )
 
 
@@ -158,7 +163,7 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
 
     # a per-run tag, prefix-stable in n_runs; it seeds nothing
     run_seeds = np.random.SeedSequence(seed).generate_state(n_runs).tolist()
-    bias = _MEAN_BIAS + stream_draws(seed, BIAS, 0, n_runs, math.sqrt(cfg.bias_var))
+    bias = stream_draws(seed, BIAS, 0, n_runs, math.sqrt(cfg.bias_var))
 
     period = cfg.period
     gain_pos, gain_vel = steady_state.kbar(gains, period)
@@ -179,7 +184,7 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
             acc[2] += err_vel @ err_vel
             n_samples += n_runs
         meas = stream_draws(seed, MEASUREMENT, k, n_runs, sd_meas)
-        innovation = err_pos + meas + bias - _MEAN_BIAS
+        innovation = err_pos + meas + bias
         est_pos += gain_pos * innovation
         est_vel += gain_vel * innovation
 

@@ -25,8 +25,9 @@ import numpy as np
 from . import filter_core
 from .errors import DegenerateDenominator, NonFiniteCovariance, NoValidRoot
 
-#: columns of the gain-sweep table (the CLI appends excluded_root)
-GAIN_SWEEP_HEADER = ("rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "S21dot")
+#: columns of the gain-sweep table, as ``gain_table`` returns them
+GAIN_SWEEP_HEADER = ("rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "S21dot",
+                     "excluded_root")
 
 _ZERO_TOL = 1e-12
 _RHO_CONSISTENCY_RTOL = 1e-9
@@ -186,40 +187,6 @@ def _eigenvalues(a, b):
 def _moduli(re1, re2, im):
     # the eigenvalue moduli, as hypot like Python's abs(complex)
     return np.hypot(re1, im), np.hypot(re2, im)
-
-
-def fbar_eigenvalues(gains: SteadyStateGains) -> tuple[complex, complex]:
-    """Eigenvalues 1 - (a+b)/2 +- sqrt(2ab - 4b + a^2 + b^2)/2 of fbar.
-
-    Independent of the period; complex pair when the radicand is negative.
-    Stability requires both moduli below one.
-    """
-    with np.errstate(all="ignore"):
-        re1, re2, im = _eigenvalues(*_points(gains.alpha, gains.beta))
-    return complex(re1, im), complex(re2, -im)
-
-
-def gain_polynomial(alpha: float, beta: float, rho: float) -> float:
-    """Quartic in beta linking the two gains through the noise ratio.
-
-    2 b^4 + (4a - 8) b^3
-      + rho ((a^2 - 2a + 2) b^2 + (3a^3 - 10a^2 + 12a - 8) b
-             + (2a^4 - 8a^3 + 8a^2))
-
-    Zero along the consistent (alpha, beta) curve; factors into
-    (b + 2a - 4) times the cubic of ``cubic_factor``.
-    """
-    a, b = alpha, beta
-    return (2 * b**4 + (4 * a - 8) * b**3
-            + rho * ((a * a - 2 * a + 2) * b * b
-                     + (3 * a**3 - 10 * a**2 + 12 * a - 8) * b
-                     + (2 * a**4 - 8 * a**3 + 8 * a**2)))
-
-
-def cubic_factor(alpha: float, beta: float, rho: float) -> float:
-    """The rho-dependent cubic factor of the gain quartic."""
-    a, b = alpha, beta
-    return 2 * b**3 + rho * ((a * a - 2 * a + 2) * b + a * a * (a - 2))
 
 
 def excluded_root(alpha: float) -> float:
@@ -467,13 +434,13 @@ def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
     """Solve the gain cubic over a (rho, alpha) grid, as one array pass.
 
     Returns an (n_rho * n_alpha, 8) array in row-major grid order (rho
-    outer, alpha inner) with the columns of ``GAIN_SWEEP_HEADER`` plus
-    ``excluded_root``. Every point gets the checks of ``solve_beta``,
-    ``SteadyStateConfig.from_rho`` and ``predicted_covariances``, which
-    run the same array code on one point. If any point fails, the error
-    raised is the one those functions raise for the first failing point
-    in row-major order: NoValidRoot, a ValueError from the config,
-    DegenerateDenominator or NonFiniteCovariance.
+    outer, alpha inner) with the columns of ``GAIN_SWEEP_HEADER``. Every
+    point gets the checks of ``solve_beta``, ``SteadyStateConfig.from_rho``
+    and ``predicted_covariances``, which run the same array code on one
+    point. If any point fails, the error raised is the one those functions
+    raise for the first failing point in row-major order: NoValidRoot, a
+    ValueError from the config, DegenerateDenominator or
+    NonFiniteCovariance.
     """
     rho_axis = np.asarray(rhos, dtype=float).ravel()
     alpha_axis = np.asarray(alphas, dtype=float).ravel()

@@ -254,6 +254,11 @@ def quadratic_cost(weights6, e):
     return 0.5 * float(np.asarray(weights6) @ np.asarray(e) ** 2)
 
 
+def registration_objective(e1, e2, weights):
+    """The minimized objective sum k^2 d^2 / 2 at both sensors' increments."""
+    return quadratic_cost([*weights.sensor1(), *weights.sensor2()], [*e1, *e2])
+
+
 def classic_kalman_step(phi, h, q, r, x, p, z):
     """Textbook predict-update: returns (x, P, K) after one measurement."""
     x_pred = phi @ x
@@ -320,6 +325,29 @@ def dbar():
 def ddot(gains, period):
     """Steady predicted bias sensitivity F dbar = (alpha - 1, beta/T)."""
     return np.array([gains.alpha - 1.0, gains.beta / period])
+
+
+def gain_polynomial(alpha, beta, rho):
+    """Quartic in beta linking the two gains through the noise ratio.
+
+    2 b^4 + (4a - 8) b^3
+      + rho ((a^2 - 2a + 2) b^2 + (3a^3 - 10a^2 + 12a - 8) b
+             + (2a^4 - 8a^3 + 8a^2))
+
+    Zero along the consistent (alpha, beta) curve; factors into
+    (b + 2a - 4) times the cubic of ``cubic_factor``.
+    """
+    a, b = alpha, beta
+    return (2 * b**4 + (4 * a - 8) * b**3
+            + rho * ((a * a - 2 * a + 2) * b * b
+                     + (3 * a**3 - 10 * a**2 + 12 * a - 8) * b
+                     + (2 * a**4 - 8 * a**3 + 8 * a**2)))
+
+
+def cubic_factor(alpha, beta, rho):
+    """The rho-dependent cubic factor of the gain quartic."""
+    a, b = alpha, beta
+    return 2 * b**3 + rho * ((a * a - 2 * a + 2) * b + a * a * (a - 2))
 
 
 def iterate_lyapunov(f, g, iterations=4000):

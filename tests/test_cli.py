@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from radarbias import registration, steady_state
+from radarbias import coords, registration, steady_state
 from radarbias.cli import main
 
 import oracles
@@ -32,6 +32,13 @@ def scenario_doc(n_runs=200, n_steps=40, master_seed=5):
     }
 
 
+def config_file(tmp_path, doc):
+    """``doc`` written to a JSON file; the file's path."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -40,9 +47,8 @@ def run(capsys, *argv):
 
 class TestRegister:
     def test_reference_example(self, tmp_path, capsys):
-        path = tmp_path / "a.json"
-        path.write_text(json.dumps(example_config("a")))
-        code, out, _ = run(capsys, "register", "--config", str(path))
+        code, out, _ = run(capsys, "register", "--config",
+                           config_file(tmp_path, example_config("a")))
         assert code == 0
         doc = json.loads(out)
         ex = oracles.REGISTRATION_EXAMPLES["a"]["expected"]
@@ -54,10 +60,8 @@ class TestRegister:
         assert doc["constraint_residual_m"] < 1e-6
 
     def test_csv_format(self, tmp_path, capsys):
-        path = tmp_path / "a.json"
-        path.write_text(json.dumps(example_config("a")))
-        code, out, _ = run(capsys, "register", "--config", str(path),
-                           "--format", "csv")
+        code, out, _ = run(capsys, "register", "--config",
+                           config_file(tmp_path, example_config("a")), "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1
@@ -72,16 +76,13 @@ class TestRegister:
     def test_singular_geometry_exit_two(self, tmp_path, capsys):
         doc = example_config()
         doc["sensor2"]["p_t"] = 0.0
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "register", "--config", str(path))
+        code, _, err = run(capsys, "register", "--config", config_file(tmp_path, doc))
         assert code == 2
         assert "singular geometry: sensor 2" in err
 
     def test_wide_weight_spread_exit_zero(self, tmp_path, capsys):
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps(oracles.WIDE_WEIGHT_SPREAD_CONFIG))
-        code, out, err = run(capsys, "register", "--config", str(path))
+        code, out, err = run(capsys, "register", "--config",
+                             config_file(tmp_path, oracles.WIDE_WEIGHT_SPREAD_CONFIG))
         assert (code, err) == (0, "")
         assert json.loads(out)["constraint_residual_m"] < 1e-6
 
@@ -94,9 +95,7 @@ class TestRegister:
             "weights": {"k_r1_sq": 5.1e65, "k_psi1_sq": 2.8e-283, "k_theta1_sq": 8.7e-211,
                         "k_r2_sq": 2.3e264, "k_psi2_sq": 6.5e-258, "k_theta2_sq": 8e-222},
         }
-        path = tmp_path / "overflow.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "register", "--config", str(path))
+        code, out, err = run(capsys, "register", "--config", config_file(tmp_path, doc))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -111,18 +110,14 @@ class TestRegister:
     def test_missing_field_exit_three(self, tmp_path, capsys):
         doc = example_config()
         del doc["weights"]["k_r1_sq"]
-        path = tmp_path / "missing.json"
-        path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "register", "--config", str(path))
+        code, _, err = run(capsys, "register", "--config", config_file(tmp_path, doc))
         assert code == 3
         assert "k_r1_sq" in err
 
     def test_nonpositive_weight_exit_three(self, tmp_path, capsys):
         doc = example_config()
         doc["weights"]["k_r2_sq"] = -1.0
-        path = tmp_path / "neg.json"
-        path.write_text(json.dumps(doc))
-        code, _, _ = run(capsys, "register", "--config", str(path))
+        code, _, _ = run(capsys, "register", "--config", config_file(tmp_path, doc))
         assert code == 3
 
     def test_from_dict_matches_hand_built_problem(self):
@@ -138,11 +133,9 @@ class TestRegister:
         assert got.bias1 == want.bias1 and got.bias2 == want.bias2
 
     def test_output_file(self, tmp_path, capsys):
-        cfg = tmp_path / "a.json"
-        cfg.write_text(json.dumps(example_config()))
         out_path = tmp_path / "result.json"
-        code, out, _ = run(capsys, "register", "--config", str(cfg),
-                           "--output", str(out_path))
+        code, out, _ = run(capsys, "register", "--output", str(out_path),
+                           "--config", config_file(tmp_path, example_config()))
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["cost"] == pytest.approx(
             1.6250e4, rel=1e-3)
@@ -242,7 +235,7 @@ class TestGains:
         assert code == 0
         table = steady_state.gain_table(rhos, alphas, bias_var=bias_var)
         assert out == oracles.gains_json_reference(
-            table, steady_state.GAIN_SWEEP_HEADER + ("excluded_root",))
+            table, steady_state.GAIN_SWEEP_HEADER)
 
     def test_missing_arguments_exit_three(self, capsys):
         code, _, _ = run(capsys, "gains", "--rho", "2")
@@ -256,9 +249,7 @@ class TestGains:
 
 class TestSimulate:
     def test_small_scenario(self, tmp_path, capsys):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario_doc()))
-        code, out, _ = run(capsys, "simulate", "--config", str(path))
+        code, out, _ = run(capsys, "simulate", "--config", config_file(tmp_path, scenario_doc()))
         assert code == 0
         doc = json.loads(out)
         assert np.shape(doc["empirical_S"]) == (2, 2)
@@ -267,27 +258,24 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n_runs", [1, 2, 2000])
     def test_json_bytes_equal_standard_encoder(self, tmp_path, capsys, n_runs):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario_doc(n_runs=n_runs, n_steps=4)))
-        code, out, _ = run(capsys, "simulate", "--config", str(path))
+        code, out, _ = run(capsys, "simulate", "--config",
+                           config_file(tmp_path, scenario_doc(n_runs=n_runs, n_steps=4)))
         assert code == 0
         doc = json.loads(out)
         assert doc["run_seeds"] == np.random.SeedSequence(5).generate_state(n_runs).tolist()
         assert out == json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     def test_stream_version_reported(self, tmp_path, capsys):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario_doc(n_runs=20, n_steps=4)))
-        code, out, _ = run(capsys, "simulate", "--config", str(path))
+        code, out, _ = run(capsys, "simulate", "--config",
+                           config_file(tmp_path, scenario_doc(n_runs=20, n_steps=4)))
         assert code == 0
         assert json.loads(out)["stream_version"] == 2
 
     def test_seed_override_and_determinism(self, tmp_path, capsys):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario_doc(master_seed=1)))
-        _, out1, _ = run(capsys, "simulate", "--config", str(path),
+        path = config_file(tmp_path, scenario_doc(master_seed=1))
+        _, out1, _ = run(capsys, "simulate", "--config", path,
                          "--seed", "99")
-        _, out2, _ = run(capsys, "simulate", "--config", str(path),
+        _, out2, _ = run(capsys, "simulate", "--config", path,
                          "--seed", "99")
         doc1, doc2 = json.loads(out1), json.loads(out2)
         doc1.pop("wall_time_s"), doc2.pop("wall_time_s")
@@ -296,17 +284,13 @@ class TestSimulate:
     def test_overflowing_gain_exit_two(self, tmp_path, capsys):
         doc = scenario_doc()
         doc["gains"] = {"alpha": 1e110, "beta": 0.5}
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "simulate", "--config", str(path))
+        code, out, err = run(capsys, "simulate", "--config", config_file(tmp_path, doc))
         assert code == 2
         assert out == ""
         assert err.startswith("error: gains fail validation") and len(err.splitlines()) == 1
 
     def test_csv_format(self, tmp_path, capsys):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario_doc()))
-        code, out, _ = run(capsys, "simulate", "--config", str(path),
+        code, out, _ = run(capsys, "simulate", "--config", config_file(tmp_path, scenario_doc()),
                            "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -315,16 +299,25 @@ class TestSimulate:
     def test_invalid_gains_exit_two(self, tmp_path, capsys):
         doc = scenario_doc()
         doc["gains"]["beta"] = 3.6
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "simulate", "--config", str(path))
+        code, _, err = run(capsys, "simulate", "--config", config_file(tmp_path, doc))
         assert code == 2
         assert "beta_not_excluded" in err
 
+    def test_fractional_counts_exit_three(self, tmp_path, capsys):
+        # int() would truncate these to 10 runs of 1 step and exit 0
+        doc = dict(scenario_doc(), n_runs=10.9, n_steps=True, master_seed=3.7, burn_in=0.5)
+        assert run(capsys, "simulate", "--config", config_file(tmp_path, doc)) == (
+            3, "", "error: bad scenario document: n_runs must be a whole number, got 10.9\n")
+
+    def test_integral_float_counts_accepted(self, tmp_path, capsys):
+        outputs = []
+        for counts in ({"n_runs": 20, "n_steps": 4}, {"n_runs": 2e1, "n_steps": 4.0}):
+            config = config_file(tmp_path, dict(scenario_doc(), **counts))
+            outputs.append(run(capsys, "simulate", "--config", config, "--format", "csv"))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
     def test_bad_scenario_exit_three(self, tmp_path, capsys):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"config": {}}))
-        code, _, _ = run(capsys, "simulate", "--config", str(path))
+        code, _, _ = run(capsys, "simulate", "--config", config_file(tmp_path, {"config": {}}))
         assert code == 3
 
 
@@ -417,6 +410,74 @@ class TestTransform:
         assert json.loads(out)["point"] == [1e200, 0.0, 0.0]
 
 
+_FRAMES = ("spherical", "cartesian", "enu1", "enu2", "eci", "face")
+_SITE1, _SITE2 = coords.GeodeticSite(0.1, 0.7), coords.GeodeticSite(-0.4, 0.2)
+_FACE = (0.3, 0.2)
+#: what transform computes for each supported pair, as library calls:
+#: (point, velocity) -> result
+_TRANSFORMS = {
+    ("spherical", "cartesian"):
+        lambda p, vel: coords.spherical_to_cartesian(coords.SphericalTriple.from_array(p)),
+    ("cartesian", "spherical"): lambda p, vel: coords.cartesian_to_spherical(p).as_array(),
+    ("enu1", "enu2"): lambda p, vel: (coords.enu1_velocity_to_enu2 if vel
+                                      else coords.enu1_position_to_enu2)(p, _SITE1, _SITE2),
+    ("enu2", "enu1"): lambda p, vel: (coords.enu2_velocity_to_enu1 if vel
+                                      else coords.enu2_position_to_enu1)(p, _SITE1, _SITE2),
+}
+for _frame, _site in (("enu1", _SITE1), ("enu2", _SITE2)):
+    _TRANSFORMS[_frame, "eci"] = lambda p, vel, s=_site: (
+        coords.enu_to_eci(s) @ p if vel else coords.enu_position_to_eci(p, s))
+    _TRANSFORMS["eci", _frame] = lambda p, vel, s=_site: (
+        coords.eci_to_enu(s) @ p if vel else coords.eci_position_to_enu(p, s))
+    _TRANSFORMS[_frame, "face"] = lambda p, vel: coords.enu_to_face(*_FACE) @ p
+    _TRANSFORMS["face", _frame] = lambda p, vel: coords.face_to_enu(*_FACE) @ p
+
+
+class TestTransformPairs:
+    """Every (--from, --to, --velocity) combination, byte for byte."""
+
+    @pytest.mark.parametrize("velocity", [False, True])
+    @pytest.mark.parametrize("dst", _FRAMES)
+    @pytest.mark.parametrize("src", _FRAMES)
+    def test_every_combination(self, capsys, src, dst, velocity):
+        argv = ["transform", "--from", src, "--to", dst, "--point", "1000,0.3,0.2",
+                "--site1", "0.1,0.7", "--site2=-0.4,0.2", "--face-angles", "0.3,0.2",
+                *(["--velocity"] if velocity else [])]
+        point = np.array([1000.0, 0.3, 0.2])
+        transform = (lambda p, vel: p) if src == dst else _TRANSFORMS.get((src, dst))
+        if transform is None:
+            message = f"error: unsupported frame pair {src} -> {dst}\n"
+            assert run(capsys, *argv) == (3, "", message)
+            return
+        values = [float(v) for v in transform(point, velocity)]
+        components = (["range_m", "azimuth_rad", "elevation_rad"]
+                      if dst == "spherical" else ["x_m", "y_m", "z_m"])
+        want_json = json.dumps({"frame": dst, "point": values, "components": components},
+                               indent=2) + "\n"
+        want_csv = ",".join(components) + "\r\n" + ",".join(map(repr, values)) + "\r\n"
+        assert run(capsys, *argv) == (0, want_json, "")
+        assert run(capsys, *argv, "--format", "csv") == (0, want_csv, "")
+
+    @pytest.mark.parametrize("src, dst, extra, message", [
+        ("enu1", "enu2", [], "--site1 LON,LAT is required for this frame pair"),
+        ("enu2", "enu1", [], "--site1 LON,LAT is required for this frame pair"),
+        ("eci", "enu2", ["--site1=0,0"], "--site2 LON,LAT is required for this frame pair"),
+        ("enu2", "enu1", ["--site1=0.1", "--site2=0,0"], "--site1 expects LON,LAT"),
+        ("enu1", "enu2", ["--site1=0,0", "--site2=1,2,3"], "--site2 expects LON,LAT"),
+        ("enu1", "eci", ["--site1=a,0"], "bad site1 list 'a,0': could not convert string "
+                                         "to float: 'a'"),
+        ("eci", "enu2", ["--site2=,"], "empty site2 list"),
+        ("enu1", "enu2", ["--site1=0,2", "--site2=0,0"], "latitude 2.0 outside [-pi/2, pi/2]"),
+        ("enu1", "face", [], "--face-angles AZ,EL is required for the face frame"),
+        ("face", "enu2", ["--face-angles=0.3"], "--face-angles expects AZ,EL"),
+        ("enu2", "face", ["--face-angles=inf,0"], "face-angles values must be finite, "
+                                                  "got 'inf,0'"),
+    ])
+    def test_missing_or_malformed_pair_argument(self, capsys, src, dst, extra, message):
+        argv = ["transform", "--from", src, "--to", dst, "--point", "1,2,3", *extra]
+        assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
 class TestNonFinite:
     """Non-finite numbers are input errors: exit 3 and no NaN on stdout."""
 
@@ -443,9 +504,8 @@ class TestNonFinite:
     def test_relative_bias(self, tmp_path, capsys, value):
         doc = example_config()
         doc["relative_bias"][1] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))  # writes the NaN/Infinity tokens
-        code, out, err = run(capsys, "register", "--config", str(path))
+        path = config_file(tmp_path, doc)  # writes the NaN/Infinity tokens
+        code, out, err = run(capsys, "register", "--config", path)
         assert code == 3
         assert "NaN" not in out and "relative_bias" in err
 
@@ -453,18 +513,14 @@ class TestNonFinite:
     def test_sensor_geometry(self, tmp_path, capsys, field):
         doc = example_config()
         doc["sensor1"][field] = float("nan")
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "register", "--config", str(path))
+        code, out, err = run(capsys, "register", "--config", config_file(tmp_path, doc))
         assert code == 3
         assert "NaN" not in out and "finite" in err
 
     def test_simulate_initial_state(self, tmp_path, capsys):
         doc = scenario_doc()
         doc["initial_state"] = [float("nan"), 0.0]
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "simulate", "--config", str(path))
+        code, out, _ = run(capsys, "simulate", "--config", config_file(tmp_path, doc))
         assert code == 3
         assert "NaN" not in out
 

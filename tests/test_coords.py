@@ -124,17 +124,21 @@ class TestEciEnu:
             assert_rotation(coords.eci_to_enu(site))
 
 
+def site_origin_eci(site, earth=coords.WGS84):
+    # a site's ENU origin in ECI: the ellipsoid surface point at the site
+    return coords.enu_position_to_eci(np.zeros(3), site, earth)
+
+
 class TestSitePosition:
     def test_sphere_equator(self):
         earth = coords.EarthModel(6378137.0, 0.0)
         np.testing.assert_allclose(
-            coords.site_position_eci(coords.GeodeticSite(0.0, 0.0), earth),
-            [6378137.0, 0.0, 0.0])
+            site_origin_eci(coords.GeodeticSite(0.0, 0.0), earth), [6378137.0, 0.0, 0.0])
 
     def test_sphere_pole(self):
         earth = coords.EarthModel(6378137.0, 0.0)
         np.testing.assert_allclose(
-            coords.site_position_eci(coords.GeodeticSite(0.3, math.pi / 2), earth),
+            site_origin_eci(coords.GeodeticSite(0.3, math.pi / 2), earth),
             [0.0, 0.0, 6378137.0], atol=1e-8)
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf])
@@ -150,7 +154,7 @@ class TestSitePosition:
     def test_ellipsoid_frozen_value(self):
         # frozen from a 50-digit evaluation of the surface-point formula
         earth = coords.EarthModel(6378137.0, 0.08)
-        pos = coords.site_position_eci(coords.GeodeticSite(0.0, math.pi / 4), earth)
+        pos = site_origin_eci(coords.GeodeticSite(0.0, math.pi / 4), earth)
         np.testing.assert_allclose(
             pos, [4517257.3271194797859, 0.0, 4488346.8802259151153],
             rtol=1e-12, atol=1e-6)
@@ -168,7 +172,7 @@ class TestInterSite:
         np.testing.assert_allclose(coords.enu1_to_enu2(site, site), np.eye(3),
                                    atol=1e-15)
         np.testing.assert_allclose(
-            coords.inter_site_translation_eci(site, site), np.zeros(3))
+            coords.enu1_position_to_enu2(np.zeros(3), site, site), np.zeros(3))
 
     def test_quarter_longitude_entry(self):
         s1 = coords.GeodeticSite(0.0, 0.0)
@@ -183,15 +187,20 @@ class TestInterSite:
             chain = oracles.enu_rotation_chain(s1, s2)
             np.testing.assert_allclose(direct, chain, atol=1e-12)
             assert_rotation(direct)
-            np.testing.assert_allclose(coords.enu2_to_enu1(s1, s2), direct.T)
             np.testing.assert_allclose(coords.enu1_to_enu2(s2, s1), direct.T,
                                        atol=1e-15)
 
     def test_translation_antisymmetry(self):
+        # the baseline seen from either site is one ECI vector, reversed
         rng = np.random.default_rng(29)
         s1, s2 = self.rng_sites(rng)
-        fwd = coords.inter_site_translation_eci(s1, s2)
-        np.testing.assert_allclose(coords.inter_site_translation_eci(s2, s1), -fwd)
+        fwd = coords.enu_to_eci(s1) @ np.asarray(
+            coords.enu1_position_to_enu2(np.zeros(3), s2, s1), dtype=float)
+        back = coords.enu_to_eci(s2) @ np.asarray(
+            coords.enu1_position_to_enu2(np.zeros(3), s1, s2), dtype=float)
+        np.testing.assert_allclose(back, -fwd, rtol=1e-12, atol=1e-6)
+        np.testing.assert_allclose(fwd, np.asarray(site_origin_eci(s2) - site_origin_eci(s1),
+                                                   dtype=float), rtol=1e-12, atol=1e-6)
 
     def test_position_round_trip(self):
         rng = np.random.default_rng(31)

@@ -309,6 +309,14 @@ class TestOptimalGain:
                 assert abs(deriv) < 1e-8
 
 
+def converged(model, noise_cov, gain=None):
+    # the state after 600 zero measurements, from the origin
+    state = fc.FilterState.initial(model, [0.0, 0.0], noise_cov=noise_cov)
+    for _ in range(600):
+        state = fc.step(model, state, [0.0], gain=gain)
+    return state
+
+
 class TestSteadyStateConsistency:
     def test_fixed_gain_converges_to_closed_form(self):
         # measurement-noise-only model so the limit is the closed-form block
@@ -316,10 +324,7 @@ class TestSteadyStateConsistency:
                                    bias_var=4.0)
         model = cfg.to_filter_model()
         gains = ss.SteadyStateGains(0.2, 0.04385)
-        k = ss.kbar(gains, cfg.period).reshape(2, 1)
-        state = fc.FilterState.initial(model, [0.0, 0.0], noise_cov=np.eye(2) * 100)
-        for _ in range(600):
-            state = fc.step(model, state, [0.0], gain=k)
+        state = converged(model, np.eye(2) * 100, ss.kbar(gains, cfg.period).reshape(2, 1))
         expected = ss.steady_mn(gains, cfg.period, cfg.meas_var)
         np.testing.assert_allclose(state.noise_cov, expected, rtol=1e-8)
         # the bias sensitivity settles on the closed-form steady vector
@@ -333,10 +338,7 @@ class TestSteadyStateConsistency:
         cfg = ss.SteadyStateConfig.from_rho(rho, bias_var=4.0)
         model = cfg.to_filter_model()
         gains = ss.SteadyStateGains(0.2, ss.solve_beta(0.2, rho))
-        k = ss.kbar(gains, cfg.period).reshape(2, 1)
-        state = fc.FilterState.initial(model, [0.0, 0.0], noise_cov=np.eye(2) * 100)
-        for _ in range(600):
-            state = fc.step(model, state, [0.0], gain=k)
+        state = converged(model, np.eye(2) * 100, ss.kbar(gains, cfg.period).reshape(2, 1))
         m_bar = (ss.steady_mn(gains, cfg.period, cfg.meas_var)
                  + ss.steady_mq(gains, cfg.period, cfg.process_var))
         np.testing.assert_allclose(state.noise_cov, m_bar, rtol=1e-8)
@@ -349,13 +351,10 @@ class TestSteadyStateConsistency:
     def test_converged_optimal_gain_lies_on_gain_curve(self, bias_var):
         rho = 2.0
         cfg = ss.SteadyStateConfig.from_rho(rho, bias_var=bias_var)
-        model = cfg.to_filter_model()
-        state = fc.FilterState.initial(model, [0.0, 0.0], noise_cov=np.eye(2) * 1e6)
-        for _ in range(600):
-            state = fc.step(model, state, [0.0])
+        state = converged(cfg.to_filter_model(), np.eye(2) * 1e6)
         alpha = float(state.gain[0, 0])
         beta = float(state.gain[1, 0]) * cfg.period
-        assert abs(ss.gain_polynomial(alpha, beta, rho)) < 1e-8
+        assert abs(oracles.gain_polynomial(alpha, beta, rho)) < 1e-8
         assert ss.solve_beta(alpha, rho) == pytest.approx(beta, abs=1e-8)
 
     def test_converged_gain_independent_of_bias_variance(self):
@@ -363,12 +362,7 @@ class TestSteadyStateConsistency:
         gains = []
         for bias_var in (0.0, 9.0):
             cfg = ss.SteadyStateConfig.from_rho(rho, bias_var=bias_var)
-            model = cfg.to_filter_model()
-            state = fc.FilterState.initial(model, [0.0, 0.0],
-                                           noise_cov=np.eye(2) * 1e6)
-            for _ in range(600):
-                state = fc.step(model, state, [0.0])
-            gains.append(state.gain.copy())
+            gains.append(converged(cfg.to_filter_model(), np.eye(2) * 1e6).gain.copy())
         np.testing.assert_allclose(gains[0], gains[1], atol=1e-8)
 
 
@@ -408,23 +402,12 @@ class TestStepComposition:
                 assert getattr(stepped, name).tobytes() == getattr(composed, name).tobytes(), name
 
 
-def scalar_bracket_model(meas_var):
-    # no bias channel: the bracket is H S H' + N
-    return fc.BiasFilterModel(
-        transition=np.eye(2), output=np.array([[1.0, 0.0]]),
-        bias_matrix=np.array([[0.0]]), process_noise=np.zeros((2, 2)),
-        meas_noise=np.array([[meas_var]]), bias_cov=np.array([[0.0]]),
-        bias_mean=np.array([0.0]),
-        bias_fn=lambda x, lam: np.zeros(1),
-        bias_jac_state=lambda x, lam: np.zeros((1, 2)),
-        bias_jac_bias=lambda x, lam: np.zeros((1, 1)))
-
-
 class TestSingularInnovation:
     @pytest.mark.parametrize("meas_var, s11", [(0.0, 0.0), (np.nan, 1.0), (np.inf, 1.0),
                                                (1.0, np.nan), (1.0, np.inf)])
     def test_scalar_bracket_zero_or_not_finite(self, meas_var, s11):
-        model = scalar_bracket_model(meas_var)
+        # no bias channel and no motion: the bracket is H S H' + N
+        model = unbiased_model(period=0.0, meas_var=meas_var, process_var=0.0)
         cov = np.array([[s11, 0.0], [0.0, 1.0]])
         pred = fc.FilterState(x=np.zeros(2), noise_cov=cov, bias_sens=np.zeros((2, 1)),
                               total_cov=cov)
@@ -509,24 +492,6 @@ ARRAY_FIELDS = ("transition", "output", "bias_matrix", "process_noise", "meas_no
                 "bias_cov", "bias_mean")
 
 
-def additive_bias(x, lam):
-    return np.atleast_1d(lam)
-
-
-def zero_state_jacobian(x, lam):
-    return np.zeros((1, 2))
-
-
-def unit_bias_jacobian(x, lam):
-    return np.ones((1, 1))
-
-
-def picklable_model():
-    # the constant-velocity bias model with module-level callbacks
-    return replace(cv_model(bias_var=4.0, bias_mean=0.5), bias_fn=additive_bias,
-                   bias_jac_state=zero_state_jacobian, bias_jac_bias=unit_bias_jacobian)
-
-
 class TestKeptTerms:
     """Terms kept on the model give the same bits as a model that never stepped."""
 
@@ -584,12 +549,12 @@ class TestKeptTerms:
         inputs["transition"][0, 1] = 7.0      # the caller's array, not the model's
         assert model.transition[0, 1] == 1.0
         copies = (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(
-            picklable_model())))
+            cv_model(bias_var=4.0, bias_mean=0.5))))
         for other in copies:
             assert not any(getattr(other, name).flags.writeable for name in ARRAY_FIELDS)
 
     def test_copies_of_a_used_model_equal_an_unused_ones(self):
-        model = picklable_model()
+        model = cv_model(bias_var=4.0, bias_mean=0.5)
         before = pickle.dumps(model), repr(model), sorted(vars(model))
         state = fc.FilterState.initial(model, np.zeros(2), noise_cov=np.eye(2))
         for gain in (np.array([[0.2], [0.05]]), None):

@@ -99,33 +99,22 @@ class TestRelativeBias:
 
 class TestCosts:
     def test_zero_increments(self):
-        w = reg.BiasCostWeights(**oracles.EXAMPLE_WEIGHTS)
-        zero = SphericalTriple(0.0, 0.0, 0.0)
-        assert reg.evaluate_cost(zero, zero, w) == 0.0
-        assert reg.normalized_cost(zero, zero, w) == 0.0
+        # a zero relative bias is met by zero increments, at zero cost
+        problem = make_problem("a")
+        sol = reg.solve_absolute_bias(reg.RegistrationProblem(
+            np.zeros(3), problem.geom1, problem.geom2, problem.weights))
+        assert increments(sol).tolist() == [0.0] * 6
+        assert (sol.objective, sol.cost) == (0.0, 0.0)
 
     def test_matches_quadratic_form(self):
-        rng = np.random.default_rng(17)
+        # the reported figures are the quadratic forms at the returned increments
         w = reg.BiasCostWeights(**oracles.EXAMPLE_WEIGHTS)
-        d1 = np.diag(w.sensor1()) / 2.0
-        d2 = np.diag(w.sensor2()) / 2.0
-        for _ in range(50):
-            e1 = rng.normal(0, [100, 1e-2, 1e-2])
-            e2 = rng.normal(0, [100, 1e-2, 1e-2])
-            direct = e1 @ d1 @ e1 + e2 @ d2 @ e2
-            got = reg.evaluate_cost(SphericalTriple.from_array(e1),
-                                    SphericalTriple.from_array(e2), w)
-            assert got == pytest.approx(direct, rel=1e-12)
-
-    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
-    def test_normalized_cost_reproduces_tables(self, name):
-        # the tabulated cost convention, evaluated on the tabulated increments
-        ex = oracles.REGISTRATION_EXAMPLES[name]
-        w = reg.BiasCostWeights(**oracles.EXAMPLE_WEIGHTS)
-        e = ex["expected"]
-        got = reg.normalized_cost(SphericalTriple.from_array(e[:3]),
-                                  SphericalTriple.from_array(e[3:]), w)
-        assert got == pytest.approx(ex["cost"], rel=1e-3)
+        d = np.concatenate([w.sensor1(), w.sensor2()])
+        for name in "abcd":
+            sol = reg.solve_absolute_bias(make_problem(name))
+            e = increments(sol)
+            assert sol.objective == pytest.approx(e @ np.diag(d / 2.0) @ e, rel=1e-12)
+            assert sol.cost == pytest.approx(e @ np.diag(1.0 / d) @ e, rel=1e-12)
 
     def test_weights_must_be_positive(self):
         bad = dict(oracles.EXAMPLE_WEIGHTS, k_r1_sq=0.0)
@@ -284,8 +273,7 @@ class TestSolve:
                 delta = rng.normal(0, [10.0, 1e-4, 1e-4])
                 e1 = e1_star + delta
                 e2 = np.linalg.solve(a2, a1 @ e1 + problem.relative_bias)
-                perturbed = reg.evaluate_cost(SphericalTriple.from_array(e1),
-                                              SphericalTriple.from_array(e2), w)
+                perturbed = oracles.registration_objective(e1, e2, w)
                 assert perturbed >= sol.objective - 1e-9
 
     def test_singular_geometry_reported_by_sensor(self):

@@ -9,6 +9,8 @@ from radarbias import sim_harness as sim
 from radarbias import steady_state as ss
 from radarbias.errors import InvalidGains
 
+import oracles
+
 
 def scenario(bias_var=4.0, n_runs=2000, n_steps=100, master_seed=42, **kw):
     return sim.SimScenario(
@@ -37,6 +39,22 @@ class TestScenario:
         sc = scenario()
         again = sim.SimScenario.from_dict(sc.to_dict())
         assert again == sc
+
+    @pytest.mark.parametrize("value", [10.9, 0.5, True, float("inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["n_runs", "n_steps", "master_seed", "burn_in"])
+    def test_fractional_or_boolean_count_rejected(self, field, value):
+        doc = scenario().to_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number, got "):
+            sim.SimScenario.from_dict(doc)
+
+    def test_integral_floats_accepted(self):
+        doc = scenario().to_dict()
+        doc.update(n_runs=2e4, n_steps=100.0, master_seed=42.0, burn_in=1e1)
+        got = sim.SimScenario.from_dict(doc)
+        assert got == scenario(n_runs=20000, burn_in=10)
+        assert {type(got.n_runs), type(got.n_steps), type(got.master_seed),
+                type(got.burn_in)} == {int}
 
 
 class TestMonteCarlo:
@@ -152,7 +170,8 @@ class TestSynthScenario:
         for seed in range(40):
             problem, (truth1, truth2) = sim.synth_registration_scenario(seed)
             sol = reg.solve_absolute_bias(problem)
-            truth_cost = reg.evaluate_cost(truth1, truth2, problem.weights)
+            truth_cost = oracles.registration_objective(
+                truth1.as_array(), truth2.as_array(), problem.weights)
             assert sol.objective <= truth_cost + 1e-9
 
     def test_reproducible(self):

@@ -7,25 +7,34 @@ from radarbias.errors import DegenerateDenominator, NonFiniteCovariance, NoValid
 import oracles
 
 
+def fbar_moduli(alpha, beta):
+    # the closed-loop eigenvalue moduli by a numeric eigensolve, sorted
+    return sorted(np.abs(np.linalg.eigvals(ss.fbar(ss.SteadyStateGains(alpha, beta), 1.0))))
+
+
+def is_stable(alpha, beta):
+    return ss.validate_gains(ss.SteadyStateGains(alpha, beta),
+                             ss.SteadyStateConfig.from_rho(2.0)).stable
+
+
 class TestEigenvalues:
+    """The closed-form eigenvalues, as gain_table's moduli and validate_gains' stability."""
+
     def test_zero_gains_give_unit_eigenvalues(self):
-        e1, e2 = ss.fbar_eigenvalues(ss.SteadyStateGains(0.0, 0.0))
-        assert e1 == pytest.approx(1.0)
-        assert e2 == pytest.approx(1.0)
+        assert fbar_moduli(0.0, 0.0) == [1.0, 1.0] and not is_stable(0.0, 0.0)
 
     def test_table_gain_is_stable(self):
-        eigs = ss.fbar_eigenvalues(ss.SteadyStateGains(0.2, 0.04385))
-        assert max(abs(e) for e in eigs) < 1.0
+        assert is_stable(0.2, 0.04385) and max(ss.gain_table([2.0], [0.2])[0, 3:5]) < 1.0
 
     def test_matches_numeric_eigensolve(self):
         rng = np.random.default_rng(3)
+        rhos, alphas = rng.uniform(0.01, 100.0, 15), rng.uniform(0.01, 1.99, 20)
+        for _, alpha, beta, *moduli in ss.gain_table(rhos, alphas)[:, :5].tolist():
+            assert np.abs(np.sort(moduli) - fbar_moduli(alpha, beta)).max() < 1e-12
         for _ in range(300):
-            g = ss.SteadyStateGains(rng.uniform(-1, 2), rng.uniform(-1, 3))
-            closed = sorted(ss.fbar_eigenvalues(g), key=lambda z: (z.real, z.imag))
-            numeric = sorted(np.linalg.eigvals(ss.fbar(g, 1.0)).astype(complex),
-                             key=lambda z: (z.real, z.imag))
-            for c, n in zip(closed, numeric):
-                assert abs(c - n) < 1e-12 * max(1.0, abs(n))
+            alpha, beta = rng.uniform(-1, 2), rng.uniform(-1, 3)
+            largest = fbar_moduli(alpha, beta)[1]
+            assert abs(largest - 1.0) < 1e-9 or is_stable(alpha, beta) == (largest < 1.0)
 
 
 class TestGainPolynomial:
@@ -35,10 +44,10 @@ class TestGainPolynomial:
             alpha = rng.uniform(-1, 2)
             rho = rng.uniform(0.1, 50)
             beta = ss.excluded_root(alpha)
-            assert ss.gain_polynomial(alpha, beta, rho) == pytest.approx(0.0, abs=1e-8)
+            assert oracles.gain_polynomial(alpha, beta, rho) == pytest.approx(0.0, abs=1e-8)
 
     def test_tabulated_pair_is_near_root(self):
-        assert abs(ss.gain_polynomial(0.2, 0.04385, 2.0)) < 5e-4
+        assert abs(oracles.gain_polynomial(0.2, 0.04385, 2.0)) < 5e-4
 
     def test_factorization_identity(self):
         rng = np.random.default_rng(7)
@@ -46,8 +55,8 @@ class TestGainPolynomial:
             a = rng.uniform(-1, 3)
             b = rng.uniform(-1, 4)
             rho = rng.uniform(0.1, 100)
-            full = ss.gain_polynomial(a, b, rho)
-            factored = (b + 2 * a - 4) * ss.cubic_factor(a, b, rho)
+            full = oracles.gain_polynomial(a, b, rho)
+            factored = (b + 2 * a - 4) * oracles.cubic_factor(a, b, rho)
             scale = max(1.0, abs(full), abs(factored))
             assert abs(full - factored) / scale < 1e-10
 
@@ -57,7 +66,7 @@ class TestSolveBeta:
     def test_reproduces_table(self, rho, alpha, beta_table):
         beta = ss.solve_beta(alpha, rho)
         assert abs(beta - beta_table) < 5e-5
-        assert abs(ss.gain_polynomial(alpha, beta, rho)) < 1e-10
+        assert abs(oracles.gain_polynomial(alpha, beta, rho)) < 1e-10
         report = ss.validate_gains(ss.SteadyStateGains(alpha, beta),
                                    ss.SteadyStateConfig.from_rho(rho))
         assert report.ok, report.failures
@@ -244,7 +253,9 @@ class TestConfig:
 class TestGainSweep:
     def test_header_columns(self):
         assert ss.GAIN_SWEEP_HEADER == (
-            "rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "S21dot")
+            "rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "S21dot",
+            "excluded_root")
+        assert ss.gain_table([2.0], [0.2]).shape == (1, len(ss.GAIN_SWEEP_HEADER))
 
     def test_grid_rows(self):
         table = ss.gain_table([2.0, 10.0], [0.2, 0.5])
@@ -269,8 +280,10 @@ class TestGainTable:
             gains = ss.SteadyStateGains(alpha, ss.solve_beta(alpha, rho))
             s_dot = ss.predicted_covariances(gains, ss.SteadyStateConfig.from_rho(
                 rho, period=1.5, meas_var=2.0, bias_var=3.0)).s_dot
-            assert rest == [gains.beta, *map(abs, ss.fbar_eigenvalues(gains)),
-                            s_dot[0, 0], s_dot[1, 0], ss.excluded_root(alpha)]
+            beta, *moduli = rest[:3]
+            assert [beta, *rest[3:]] == [gains.beta, s_dot[0, 0], s_dot[1, 0],
+                                         ss.excluded_root(alpha)]
+            assert np.abs(np.sort(moduli) - fbar_moduli(alpha, beta)).max() < 1e-12
         # row-major: rho outer, alpha inner
         np.testing.assert_array_equal(table[:, :2], [[2, 0.2], [2, 0.5], [10, 0.2], [10, 0.5]])
 
