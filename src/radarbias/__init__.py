@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     DegenerateDenominator,
     DimensionMismatch,
+    DomainError,
     InvalidGains,
     NonFiniteCovariance,
     NonFiniteTransform,
@@ -42,7 +43,6 @@ from .registration import (
     RegistrationSolution,
     SensorGeometry,
     build_A,
-    constraint_residual,
     relative_bias_from_positions,
     solve_absolute_bias,
 )

@@ -1,10 +1,10 @@
 """Command-line front end: registration solve, gain tables, Monte-Carlo, transforms.
 
-Exit codes: 0 success, 2 domain error (singular geometry or system, no
-valid gain root, invalid gains, overflowing covariance or transform
-result), 3 input error (malformed or schema-violating config, unknown
-frame pair). Numbers are printed with six significant digits; downstream
-comparisons should use tolerances.
+Exit codes: 0 success, 2 domain error (a ``DomainError``: singular
+geometry or system, no valid gain root, invalid gains, overflowing
+covariance or transform result), 3 input error (malformed or
+schema-violating config, unknown frame pair). Numbers are printed with
+six significant digits; downstream comparisons should use tolerances.
 """
 
 from __future__ import annotations
@@ -19,21 +19,7 @@ import sys
 import numpy as np
 
 from . import coords, registration, sim_harness, steady_state
-from .errors import (
-    ConfigError,
-    DegenerateDenominator,
-    InvalidGains,
-    NonFiniteCovariance,
-    NonFiniteTransform,
-    NoValidRoot,
-    SingularGeometry,
-    SingularSystem,
-    ZeroVector,
-)
-
-_DOMAIN_ERRORS = (SingularGeometry, SingularSystem, NoValidRoot, InvalidGains,
-                  DegenerateDenominator, NonFiniteCovariance, NonFiniteTransform,
-                  ZeroVector)
+from .errors import ConfigError, DomainError, NonFiniteTransform
 
 
 def _fmt(x: float) -> float:
@@ -76,7 +62,7 @@ def _from_doc(factory, doc: dict, what: str):
     """Build a library object from its document; schema faults become ConfigError."""
     try:
         return factory(doc)
-    except _DOMAIN_ERRORS:
+    except DomainError:
         raise
     except KeyError as exc:
         raise ConfigError(f"bad {what} document: missing field {exc}") from exc
@@ -350,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError) as exc:

@@ -1,15 +1,19 @@
 """Exception types shared across the toolkit."""
 
 
-class ZeroVector(ValueError):
+class DomainError(ValueError):
+    """Valid input on which the mathematics fails; the CLI exits 2 on it."""
+
+
+class ZeroVector(DomainError):
     """Cartesian-to-spherical conversion of the zero vector."""
 
 
-class NonFiniteTransform(ValueError):
+class NonFiniteTransform(DomainError):
     """A coordinate transform's result is not finite, e.g. it overflows a double."""
 
 
-class SingularGeometry(ValueError):
+class SingularGeometry(DomainError):
     """Sensor geometry makes the measurement matrix singular.
 
     Raised when the sensor-target distance is (near) zero or the elevation
@@ -24,7 +28,7 @@ class SingularGeometry(ValueError):
         super().__init__(msg)
 
 
-class SingularSystem(ValueError):
+class SingularSystem(DomainError):
     """The bias solver's weighted constraint system cannot be solved in floating point.
 
     Raised when the weighted constraint matrix or the solution overflows,
@@ -41,15 +45,15 @@ class SingularInnovation(ValueError):
     """The innovation-covariance bracket of the gain equation is singular."""
 
 
-class DegenerateDenominator(ValueError):
+class DegenerateDenominator(DomainError):
     """A closed-form steady-state covariance denominator vanishes."""
 
 
-class NonFiniteCovariance(ValueError):
+class NonFiniteCovariance(DomainError):
     """A closed-form steady-state covariance entry overflows."""
 
 
-class NoValidRoot(ValueError):
+class NoValidRoot(DomainError):
     """No real root of the gain cubic passes validation."""
 
     def __init__(self, msg: str, roots=()):
@@ -59,7 +63,7 @@ class NoValidRoot(ValueError):
         super().__init__(msg)
 
 
-class InvalidGains(ValueError):
+class InvalidGains(DomainError):
     """Filter gains fail the steady-state validity checks."""
 
 

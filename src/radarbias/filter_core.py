@@ -23,11 +23,11 @@ State-free terms are kept on the model, outside its fields (so equality,
 copies, so they cannot go stale. While both Jacobians return the values
 (dtype, shape, bytes) of the model's last call, He = H + W J_x,
 Ne = N + W J_b Lambda (W J_b)', W J_b and Lambda (W J_b)' are reused.
-``step`` with a fixed gain also reuses I - K He, (I - K H) Q (I - K H)',
-K N K', K W J_b and K Ne K' while the gain has the last fixed gain's bytes
-and the measurement terms were reused; ``measurement_update`` and the
-optimal gain form these afresh. A miss runs the same products, so the
-outputs are the same to the bit.
+Every measurement update also reuses I - K He, (I - K H) Q (I - K H)',
+K N K', K W J_b and K Ne K' while its gain has the bytes of the last
+update's gain and the measurement terms were reused: a fixed gain hits,
+an optimal gain, which changes each step, forms them afresh. A miss runs
+the same products, so the outputs are the same to the bit.
 
 The gain equation is solved directly for a scalar measurement (q = 1):
 the 1 x 1 bracket is accepted when it is finite and nonzero, which is
@@ -245,29 +245,24 @@ def measurement_update(model: BiasFilterModel, state: FilterState,
 
 def _gain_terms(model: BiasFilterModel, k_gain: np.ndarray, terms):
     # the update's products that depend only on the gain and the state-free
-    # measurement terms
-    output_eff, noise_eff, w_jb, _ = terms
-    eye, k_t = vars(model)["_eye"], k_gain.T
-    l_classic = eye - k_gain.dot(model.output)                 # I - K H
-    l_eff = eye - k_gain.dot(output_eff)                       # I - K (H + W du/dx)
-    return (l_eff, l_classic.dot(model.process_noise).dot(l_classic.T),
-            k_gain.dot(model.meas_noise).dot(k_t), k_gain.dot(w_jb),
-            k_gain.dot(noise_eff).dot(k_t))
-
-
-def _fixed_gain_terms(model: BiasFilterModel, k_gain: np.ndarray, terms):
-    # _gain_terms, kept on the model while the gain and the terms repeat
+    # measurement terms, kept on the model while the gain and the terms repeat
     key = k_gain.tobytes()
     kept = vars(model).get("_gain")
     if kept is None or kept[0] != key or kept[1] is not terms:
-        kept = vars(model)["_gain"] = (key, terms, _gain_terms(model, k_gain, terms))
+        output_eff, noise_eff, w_jb, _ = terms
+        eye, k_t = vars(model)["_eye"], k_gain.T
+        l_classic = eye - k_gain.dot(model.output)             # I - K H
+        l_eff = eye - k_gain.dot(output_eff)                   # I - K (H + W du/dx)
+        kept = vars(model)["_gain"] = (key, terms, (
+            l_eff, l_classic.dot(model.process_noise).dot(l_classic.T),
+            k_gain.dot(model.meas_noise).dot(k_t), k_gain.dot(w_jb),
+            k_gain.dot(noise_eff).dot(k_t)))
     return kept[2]
 
 
 def _measurement_update(model: BiasFilterModel, state: FilterState, gain, z,
-                        pieces, fixed: bool = False) -> FilterState:
-    # the update with ``gain``, which the returned state carries; a fixed
-    # gain's products are kept on the model
+                        pieces) -> FilterState:
+    # the update with ``gain``, which the returned state carries
     k_gain = np.atleast_2d(np.asarray(gain, dtype=float))
     q, n = model.output.shape
     if k_gain.shape != (n, q):
@@ -280,8 +275,7 @@ def _measurement_update(model: BiasFilterModel, state: FilterState, gain, z,
     predicted_meas = model.output.dot(state.x) + model.bias_matrix.dot(np.atleast_1d(
         model.bias_fn(state.x, model.bias_mean)))
     x = state.x + k_gain.dot(z - predicted_meas)
-    l_eff, lql_t, knk_t, k_wjb, k_ne_k_t = (_fixed_gain_terms if fixed else _gain_terms)(
-        model, k_gain, terms)
+    l_eff, lql_t, knk_t, k_wjb, k_ne_k_t = _gain_terms(model, k_gain, terms)
 
     # M next: the Q term propagates through I - K H (the bias function sees
     # the noise-free prediction), the rest through the effective closure.
@@ -305,8 +299,5 @@ def step(model: BiasFilterModel, state: FilterState, z,
     """
     predicted = time_update(model, state)
     pieces = _measurement_pieces(model, predicted)
-    if gain is None:
-        return _measurement_update(model, predicted, _optimal_gain(predicted, pieces), z,
-                                   pieces)
-    return _measurement_update(model, predicted, np.asarray(gain, dtype=float), z, pieces,
-                               fixed=True)
+    gain = _optimal_gain(predicted, pieces) if gain is None else np.asarray(gain, dtype=float)
+    return _measurement_update(model, predicted, gain, z, pieces)

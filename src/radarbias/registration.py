@@ -37,6 +37,14 @@ _COND_LIMIT = 1e14
 _CONSTRAINT_RTOL = 1e-9
 
 
+def _number(value, name: str, kind=float):
+    # a document's number as ``kind``; float() and int() would also take a
+    # bool or a numeric string
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class SensorGeometry:
     """One sensor's view of the target: distance and pointing angles.
@@ -111,20 +119,17 @@ class RegistrationProblem:
         and ``sensor2`` objects with ``p_t``, ``azimuth`` and ``elevation``,
         and a ``weights`` object with the six BiasCostWeights fields.
         Missing fields raise KeyError, malformed ones TypeError or
-        ValueError.
+        ValueError; a bool or a string is not a number here.
         """
-        def sensor(key: str) -> SensorGeometry:
-            sub = doc[key]
-            return SensorGeometry(p_t=float(sub["p_t"]), azimuth=float(sub["azimuth"]),
-                                  elevation=float(sub["elevation"]))
+        def from_numbers(kind, sub: dict):
+            return kind(**{f.name: _number(sub[f.name], f.name) for f in fields(kind)})
 
         weights = doc["weights"]
         return cls(
-            relative_bias=np.array([float(v) for v in doc["relative_bias"]]),
-            geom1=sensor("sensor1"),
-            geom2=sensor("sensor2"),
-            weights=BiasCostWeights(**{f.name: float(weights[f.name])
-                                       for f in fields(BiasCostWeights)}),
+            relative_bias=np.array([_number(v, "relative_bias") for v in doc["relative_bias"]]),
+            geom1=from_numbers(SensorGeometry, doc["sensor1"]),
+            geom2=from_numbers(SensorGeometry, doc["sensor2"]),
+            weights=from_numbers(BiasCostWeights, weights),
         )
 
 
@@ -200,13 +205,6 @@ def _kkt_residual(c, d, e, multipliers) -> float:
     resid_norm = math.hypot(*(grad - c.T.dot(multipliers)).tolist())
     scale = math.hypot(*grad.tolist())
     return resid_norm / scale if scale else resid_norm
-
-
-def constraint_residual(bias1: SphericalTriple, bias2: SphericalTriple,
-                        problem: RegistrationProblem) -> np.ndarray:
-    """Constraint value A2 e2 - A1 e1 - relative_bias (zero when feasible)."""
-    e = np.concatenate([bias1.as_array(), bias2.as_array()])
-    return _constraint_matrix(problem).dot(e) - problem.relative_bias
 
 
 def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:

@@ -26,6 +26,7 @@ import numpy as np
 from . import registration, steady_state
 from .coords import SphericalTriple
 from .errors import InvalidGains
+from .registration import _number
 
 #: version of the noise-stream layout, recorded in every report
 STREAM_VERSION = 2
@@ -37,7 +38,7 @@ def _whole(value, name: str) -> int:
     # an integral number (2e4 reads as 20000); a bool or a fraction would be truncated
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+    return _number(value, name, int)
 
 
 @dataclass(frozen=True)
@@ -88,20 +89,21 @@ class SimScenario:
         cfg = doc["config"]
         return cls(
             config=steady_state.SteadyStateConfig(
-                period=float(cfg["period"]),
-                meas_var=float(cfg["meas_var"]),
-                process_var=float(cfg["process_var"]),
-                bias_var=float(cfg.get("bias_var", 0.0)),
-                rho=None if cfg.get("rho") is None else float(cfg["rho"]),
+                period=_number(cfg["period"], "period"),
+                meas_var=_number(cfg["meas_var"], "meas_var"),
+                process_var=_number(cfg["process_var"], "process_var"),
+                bias_var=_number(cfg.get("bias_var", 0.0), "bias_var"),
+                rho=None if cfg.get("rho") is None else _number(cfg["rho"], "rho"),
             ),
             gains=steady_state.SteadyStateGains(
-                alpha=float(doc["gains"]["alpha"]),
-                beta=float(doc["gains"]["beta"]),
+                alpha=_number(doc["gains"]["alpha"], "alpha"),
+                beta=_number(doc["gains"]["beta"], "beta"),
             ),
             n_runs=_whole(doc["n_runs"], "n_runs"),
             n_steps=_whole(doc["n_steps"], "n_steps"),
             master_seed=_whole(doc["master_seed"], "master_seed"),
-            initial_state=tuple(float(v) for v in doc.get("initial_state", (0.0, 0.0))),
+            initial_state=tuple(_number(v, "initial_state")
+                                for v in doc.get("initial_state", (0.0, 0.0))),
             burn_in=None if doc.get("burn_in") is None else _whole(doc["burn_in"], "burn_in"),
         )
 

@@ -15,15 +15,13 @@ whole (rho, alpha) grid in one pass with the same code and checks.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import filter_core
-from .errors import DegenerateDenominator, NonFiniteCovariance, NoValidRoot
+from .errors import DegenerateDenominator, DomainError, NonFiniteCovariance, NoValidRoot
 
 #: columns of the gain-sweep table, as ``gain_table`` returns them
 GAIN_SWEEP_HEADER = ("rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "S21dot",
@@ -59,24 +57,6 @@ def _transition(period) -> np.ndarray:
 def _points(*values):
     # numpy scalars, on which the array code runs unchanged
     return tuple(np.float64(v) for v in values)
-
-
-def _raise_first(faults) -> None:
-    """Raise the error of the first failing point, in array order.
-
-    ``faults`` lists ``(mask, error)`` pairs in the order the checks run
-    on one point. At the first point where any mask is set, the first
-    failing check's ``error(at)`` is raised; ``at(x)`` reads that point's
-    entry of an array or scalar ``x`` as a float.
-    """
-    failing = np.ravel(functools.reduce(operator.or_, [mask for mask, _ in faults]))
-    if failing.any():
-        i = int(np.argmax(failing))
-
-        def at(x):
-            return float(np.ravel(x)[i])
-
-        raise next(error(at) for mask, error in faults if np.ravel(mask)[i])
 
 
 @dataclass(frozen=True)
@@ -208,18 +188,6 @@ def _beta_root(alpha, rho):
     return beta
 
 
-def _beta_faults(alpha, rho, beta, eigenvalues=None):
-    # solve_beta's two checks, as faults for _raise_first
-    checks = _gain_checks(alpha, beta, eigenvalues)
-    return [
-        (~(rho > 0), lambda at: NoValidRoot(
-            f"noise ratio must be positive, got {at(rho)}")),
-        (~functools.reduce(operator.and_, checks.values()), lambda at: NoValidRoot(
-            f"no valid velocity gain for alpha={at(alpha)}, rho={at(rho)}",
-            roots=(at(beta), excluded_root(at(alpha))))),
-    ]
-
-
 def solve_beta(alpha: float, rho: float) -> float:
     """Velocity gain consistent with a position gain and noise ratio.
 
@@ -239,10 +207,14 @@ def solve_beta(alpha: float, rho: float) -> float:
     e.g. for alpha outside (0, 2) where the root is nonpositive.
     """
     a, r = _points(alpha, rho)
+    if not r > 0:
+        raise NoValidRoot(f"noise ratio must be positive, got {float(r)}")
     with np.errstate(all="ignore"):
         beta = _beta_root(a, r)
-        faults = _beta_faults(a, r, beta)
-    _raise_first(faults)
+        ok = all(_gain_checks(a, beta).values())
+    if not ok:
+        raise NoValidRoot(f"no valid velocity gain for alpha={float(a)}, rho={float(r)}",
+                          roots=(float(beta), excluded_root(float(a))))
     return float(beta)
 
 
@@ -254,35 +226,43 @@ def _block(scale, d11, d21, d22):
     return scale[..., None, None] * block
 
 
-def _degenerate(den, label, a, b):
-    # a vanishing covariance denominator, as a fault for _raise_first
-    return (np.abs(den) < _ZERO_TOL, lambda at: DegenerateDenominator(
-        f"{label} = {at(den)} vanishes for alpha={at(a)}, beta={at(b)}"))
+def _vanishes(den):
+    return np.abs(den) < _ZERO_TOL
 
 
-def _overflow(stack, a, b):
-    # a 2 x 2 covariance with an entry that is not finite, as a
-    # fault for _raise_first
-    return (~np.isfinite(stack).all(axis=(-2, -1)), lambda at: NonFiniteCovariance(
-        f"steady covariance overflows for alpha={at(a)}, beta={at(b)}"))
+def _finite(stack):
+    # each 2 x 2 matrix of a stack has only finite entries
+    return np.isfinite(stack).all(axis=(-2, -1))
 
 
 def _mn_block(a, b, t, meas_var):
-    # steady_mn's block and its denominator check, elementwise
+    # steady_mn's block, its denominator and the denominator's label, elementwise
     den = a * (4.0 - 2.0 * a - b)
     return (_block(meas_var / den, 2 * a * a + 2 * b - 3 * a * b,
                    b * (2 * a - b) / t, 2 * b * b / (t * t)),
-            _degenerate(den, "alpha (4 - 2 alpha - beta)", a, b))
+            den, "alpha (4 - 2 alpha - beta)")
 
 
 def _mq_block(a, b, t, process_var):
-    # steady_mq's block and its denominator check, elementwise
+    # steady_mq's block, its denominator and the denominator's label, elementwise
     a2, a3 = a * a, a * a * a
     den = -4 * a * b + a * b * b + 2 * a2 * b
     return (_block(process_var / den, t * t * (-2 + 5 * a - 4 * a2 + a3),
                    t * (-2 * a + b - a * b + 3 * a2 - a3),
                    -2 * b + 2 * a * b - 2 * a2 + a3),
-            _degenerate(den, "alpha beta (beta + 2 alpha - 4)", a, b))
+            den, "alpha beta (beta + 2 alpha - 4)")
+
+
+def _check_covariance(a, b, blocks, stack) -> None:
+    # at the gains (a, b): the first vanishing denominator of the
+    # (block, den, label) triples, then an entry of stack that is not finite
+    for _, den, label in blocks:
+        if _vanishes(den):
+            raise DegenerateDenominator(
+                f"{label} = {float(den)} vanishes for alpha={float(a)}, beta={float(b)}")
+    if not _finite(stack):
+        raise NonFiniteCovariance(
+            f"steady covariance overflows for alpha={float(a)}, beta={float(b)}")
 
 
 def steady_mn(gains: SteadyStateGains, period: float, meas_var: float) -> np.ndarray:
@@ -309,9 +289,9 @@ def steady_mq(gains: SteadyStateGains, period: float, process_var: float) -> np.
 def _one_block(block_fn, gains, period, variance):
     a, b = _points(gains.alpha, gains.beta)
     with np.errstate(all="ignore"):
-        block, fault = block_fn(a, b, period, variance)
-    _raise_first([fault, _overflow(block, a, b)])
-    return block
+        block = block_fn(a, b, period, variance)
+    _check_covariance(a, b, [block], block[0])
+    return block[0]
 
 
 @dataclass(frozen=True)
@@ -332,16 +312,15 @@ class SteadyStateCovariances:
 
 
 def _covariances(a, b, period, meas_var, process_var, bias_var):
-    # m_bar, m_dot, s_dot stacks and the checks predicted_covariances makes
-    mn, mn_fault = _mn_block(a, b, period, meas_var)
-    mq, mq_fault = _mq_block(a, b, period, process_var)
-    m_bar = mn + mq
+    # m_bar, m_dot, s_dot stacks and the two blocks they are built from
+    mn, mq = _mn_block(a, b, period, meas_var), _mq_block(a, b, period, process_var)
+    m_bar = mn[0] + mq[0]
     phi = _transition(period)
     q = np.zeros(m_bar.shape)
     q[..., 1, 1] = process_var
     m_dot = phi @ m_bar @ phi.T + q
     s_dot = m_dot + np.array([[bias_var, 0.0], [0.0, 0.0]])
-    return (m_bar, m_dot, s_dot), [mn_fault, mq_fault, _overflow(s_dot, a, b)]
+    return (m_bar, m_dot, s_dot), (mn, mq)
 
 
 def predicted_covariances(gains: SteadyStateGains,
@@ -357,10 +336,9 @@ def predicted_covariances(gains: SteadyStateGains,
     """
     a, b = _points(gains.alpha, gains.beta)
     with np.errstate(all="ignore"):
-        stacks, faults = _covariances(a, b, config.period, config.meas_var,
-                                      config.process_var, config.bias_var)
-    _raise_first(faults)
-    m_bar, m_dot, s_dot = stacks
+        (m_bar, m_dot, s_dot), blocks = _covariances(
+            a, b, config.period, config.meas_var, config.process_var, config.bias_var)
+    _check_covariance(a, b, blocks, s_dot)
     return SteadyStateCovariances(m_bar=m_bar, m_dot=m_dot, s_dot=s_dot)
 
 
@@ -396,13 +374,14 @@ def _gain_checks(a, b, eigenvalues=None) -> dict:
     }
 
 
-def _definite(block, fault, variance) -> bool:
+def _definite(a, b, block, variance) -> bool:
     # a block with a vanishing denominator or an overflowed entry is not
     # definite; a zero-variance block may legitimately be zero
-    degenerate, _ = fault
-    if degenerate or not np.isfinite(block).all():
+    try:
+        _check_covariance(a, b, [block], block[0])
+    except (DegenerateDenominator, NonFiniteCovariance):
         return False
-    eigs = np.linalg.eigvalsh(block)
+    eigs = np.linalg.eigvalsh(block[0])
     return bool(np.all(eigs > 0)) if variance > 0 else bool(np.all(eigs > -_ZERO_TOL))
 
 
@@ -421,9 +400,9 @@ def validate_gains(gains: SteadyStateGains, config: SteadyStateConfig) -> GainVa
         checks = {name: bool(passed) for name, passed in _gain_checks(a, b).items()}
         mn_pd = mq_pd = False
         if checks["alpha_nonzero"] and checks["beta_nonzero"] and checks["beta_not_excluded"]:
-            mn_pd = _definite(*_mn_block(a, b, config.period, config.meas_var),
+            mn_pd = _definite(a, b, _mn_block(a, b, config.period, config.meas_var),
                               config.meas_var)
-            mq_pd = _definite(*_mq_block(a, b, config.period, config.process_var),
+            mq_pd = _definite(a, b, _mq_block(a, b, config.period, config.process_var),
                               config.process_var)
     return GainValidation(**checks, mn_positive_definite=mn_pd,
                           mq_positive_definite=mq_pd)
@@ -437,33 +416,39 @@ def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
     outer, alpha inner) with the columns of ``GAIN_SWEEP_HEADER``. Every
     point gets the checks of ``solve_beta``, ``SteadyStateConfig.from_rho``
     and ``predicted_covariances``, which run the same array code on one
-    point. If any point fails, the error raised is the one those functions
-    raise for the first failing point in row-major order: NoValidRoot, a
-    ValueError from the config, DegenerateDenominator or
-    NonFiniteCovariance.
+    point. If any point fails, those functions are called on the first
+    failing point in row-major order, so the error raised is the one they
+    raise for it: NoValidRoot, a ValueError from the config,
+    DegenerateDenominator or NonFiniteCovariance.
     """
     rho_axis = np.asarray(rhos, dtype=float).ravel()
     alpha_axis = np.asarray(alphas, dtype=float).ravel()
     rows = np.repeat(np.arange(rho_axis.size), alpha_axis.size)   # grid row of each point
     rho, alpha = rho_axis[rows], np.tile(alpha_axis, rho_axis.size)
+    noise = dict(period=period, meas_var=meas_var, bias_var=bias_var)
     # the noise levels depend on rho alone: one validated config per grid
     # row; a config's process_var is finite, so nan marks a failed row
     process_var = np.full(rho_axis.shape, np.nan)
-    config_errors = {}
     for row, value in enumerate(rho_axis.tolist()):
         try:
-            process_var[row] = SteadyStateConfig.from_rho(
-                value, period=period, meas_var=meas_var, bias_var=bias_var).process_var
-        except ValueError as exc:
-            config_errors[row] = exc
+            process_var[row] = SteadyStateConfig.from_rho(value, **noise).process_var
+        except ValueError:
+            pass
     with np.errstate(all="ignore"):
         beta = _beta_root(alpha, rho)
         eigenvalues = _eigenvalues(alpha, beta)
-        beta_faults = _beta_faults(alpha, rho, beta, eigenvalues)
-        (_, _, s_dot), cov_faults = _covariances(
-            alpha, beta, period, meas_var, process_var[rows], bias_var)
+        (_, _, s_dot), (mn, mq) = _covariances(alpha, beta, period, meas_var,
+                                               process_var[rows], bias_var)
+        ok = np.logical_and.reduce([rho > 0, *_gain_checks(alpha, beta, eigenvalues).values(),
+                                    _finite(s_dot), ~_vanishes(mn[1]), ~_vanishes(mq[1])])
         table = np.column_stack([rho, alpha, beta, *_moduli(*eigenvalues),
                                  s_dot[:, 0, 0], s_dot[:, 1, 0], excluded_root(alpha)])
-    config_fault = (np.isnan(process_var)[rows], lambda at: config_errors[int(at(rows))])
-    _raise_first([*beta_faults, config_fault, *cov_faults])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        a, r = float(alpha[i]), float(rho[i])
+        predicted_covariances(SteadyStateGains(a, solve_beta(a, r)),
+                              SteadyStateConfig.from_rho(r, **noise))
+        # not reached while the array and scalar code agree bit for bit
+        raise DomainError(f"gain table point alpha={a}, rho={r} fails a check "
+                          "that its single-point functions pass")
     return table

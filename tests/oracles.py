@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from radarbias.errors import SingularSystem
-from radarbias.registration import _COND_LIMIT, build_A
+from radarbias.registration import _COND_LIMIT, _constraint_matrix, build_A
 
 # ---------------------------------------------------------------------------
 # reference registration examples: inputs as printed, expected outputs
@@ -224,6 +224,12 @@ def registration_solve_reference(problem):
     if not np.all(np.isfinite(checks)):
         raise SingularSystem("solution overflows")
     return e, multipliers, cost, objective
+
+
+def constraint_residual(bias1, bias2, problem):
+    """Constraint value A2 e2 - A1 e1 - relative_bias (zero when feasible)."""
+    e = np.concatenate([bias1.as_array(), bias2.as_array()])
+    return _constraint_matrix(problem).dot(e) - problem.relative_bias
 
 
 def minimize_weighted_quadratic(weights6, rows, rhs, iterations=40):

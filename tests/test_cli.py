@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from radarbias import coords, registration, steady_state
+from radarbias import cli, coords, errors, registration, steady_state
 from radarbias.cli import main
 
 import oracles
@@ -523,6 +523,61 @@ class TestNonFinite:
         code, out, _ = run(capsys, "simulate", "--config", config_file(tmp_path, doc))
         assert code == 3
         assert "NaN" not in out
+
+
+def with_value(doc, keys, value):
+    """``doc`` with the entry at the path ``keys`` set to ``value``."""
+    *outer, last = keys
+    sub = doc
+    for key in outer:
+        sub = sub[key]
+    sub[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("command,keys,value,message", [
+    ("simulate", ("n_runs",), "10", "scenario document: n_runs must be a number, got '10'"),
+    ("simulate", ("n_runs",), "1e1", "scenario document: n_runs must be a number, got '1e1'"),
+    ("simulate", ("config", "period"), "1.0",
+     "scenario document: period must be a number, got '1.0'"),
+    ("simulate", ("gains", "alpha"), True,
+     "scenario document: alpha must be a number, got True"),
+    ("simulate", ("initial_state", 0), "0",
+     "scenario document: initial_state must be a number, got '0'"),
+    ("register", ("relative_bias", 0), True,
+     "registration document: relative_bias must be a number, got True"),
+    ("register", ("weights", "k_theta2_sq"), "5e9",
+     "registration document: k_theta2_sq must be a number, got '5e9'"),
+    ("register", ("sensor2", "p_t"), "50000",
+     "registration document: p_t must be a number, got '50000'"),
+])
+def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, command, keys, value,
+                                              message):
+    # float() and int() take both, so these documents once ran and exited 0
+    doc = with_value(scenario_doc() if command == "simulate" else example_config(),
+                     keys, value)
+    assert run(capsys, command, "--config", config_file(tmp_path, doc)) == (
+        3, "", f"error: bad {message}\n")
+
+
+DOMAIN_ERRORS = (errors.SingularGeometry, errors.SingularSystem, errors.NoValidRoot,
+                 errors.InvalidGains, errors.DegenerateDenominator,
+                 errors.NonFiniteCovariance, errors.NonFiniteTransform, errors.ZeroVector)
+
+
+def test_domain_errors_are_these_eight():
+    subclasses = {cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.DomainError)}
+    assert subclasses - {errors.DomainError} == set(DOMAIN_ERRORS)
+
+
+@pytest.mark.parametrize("error", DOMAIN_ERRORS)
+def test_domain_error_exits_two(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("no solution")
+
+    monkeypatch.setattr(cli, "cmd_register", fail)
+    assert run(capsys, "register", "--config", "-") == (2, "", f"error: {error('no solution')}\n")
 
 
 def test_console_entry_point():

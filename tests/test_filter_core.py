@@ -536,6 +536,19 @@ class TestKeptTerms:
         for _ in range(500):
             state = self.fresh_step(model, state, rng.normal(0.0, 1.0, 1), fixed_gain)
 
+    def test_measurement_update_with_a_repeated_gain(self):
+        # measurement_update keeps the gain terms as step does
+        model = cv_model(bias_var=4.0, bias_mean=0.5)
+        gain = np.array([[0.2], [ss.solve_beta(0.2, 2.0)]])
+        state = fc.FilterState.initial(model, np.zeros(2), noise_cov=np.eye(2))
+        for z in np.random.default_rng(53).normal(0.0, 1.0, 20):
+            predicted = replace(fc.time_update(model, state), gain=gain)
+            state = fc.measurement_update(model, predicted, z)
+            want = fc.measurement_update(replace(model), predicted, z)
+            for name in STATE_FIELDS:
+                assert np.asarray(getattr(state, name)).tobytes() \
+                    == np.asarray(getattr(want, name)).tobytes(), name
+
     def test_model_arrays_read_only_inputs_writable(self):
         inputs = {name: np.array(getattr(cv_model(), name)) for name in ARRAY_FIELDS}
         model = replace(cv_model(), **inputs)

@@ -74,6 +74,51 @@ def test_gain_table_rows_equal_scalar_entry_points(rho, alpha):
     assert table[5].tolist() == row
 
 
+def _scalar_chain_error(rho, alpha, noise):
+    """The error solve_beta, from_rho and predicted_covariances raise at one point, or None."""
+    try:
+        gains = ss.SteadyStateGains(alpha, ss.solve_beta(alpha, rho))
+        ss.predicted_covariances(gains, ss.SteadyStateConfig.from_rho(rho, **noise))
+    except ValueError as exc:
+        return exc
+    return None
+
+
+_NOISE = dict(period=0.5, meas_var=2.0, bias_var=3.0)
+#: rho^2 * meas_var / period^2 is nan here, so every row's config fails
+_NAN_RATIO_NOISE = dict(period=1e200, meas_var=1e-200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rhos=st.lists(st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                               st.floats(min_value=-1e3, max_value=0.0), st.just(1e3),
+                               st.floats(min_value=1e307, max_value=MAX_FLOAT)),
+                     min_size=1, max_size=4),
+       alphas=st.lists(st.one_of(st.floats(min_value=0.05, max_value=1.9),
+                                 st.floats(min_value=2.0, max_value=10.0), st.just(2e-6)),
+                       min_size=1, max_size=4),
+       noise=st.sampled_from([_NOISE, _NAN_RATIO_NOISE]))
+@example(rhos=[2.0], alphas=[0.5, 2.5, 3.0], noise=_NOISE)
+@example(rhos=[2.0, 0.0], alphas=[0.5, 2.5], noise=_NOISE)
+@example(rhos=[1e3], alphas=[0.3, 2e-6], noise=_NOISE)
+@example(rhos=[2.0, MAX_FLOAT], alphas=[0.5, 1.0], noise=_NOISE)
+@example(rhos=[2.0], alphas=[0.2], noise=_NAN_RATIO_NOISE)
+@example(rhos=[2.0], alphas=[2.5, 0.2], noise=_NAN_RATIO_NOISE)
+def test_gain_table_raises_the_scalar_chain_error_of_the_first_failing_point(rhos, alphas,
+                                                                           noise):
+    """gain_table fails exactly when a grid point fails the scalar functions, with the
+    error they raise on the first such point in row-major order."""
+    errors = (_scalar_chain_error(rho, alpha, noise) for rho in rhos for alpha in alphas)
+    first = next((exc for exc in errors if exc is not None), None)
+    if first is None:
+        table = ss.gain_table(rhos, alphas, **noise)
+        assert table.shape == (len(rhos) * len(alphas), 8) and np.isfinite(table).all()
+        return
+    with pytest.raises(ValueError) as info:
+        ss.gain_table(rhos, alphas, **noise)
+    assert type(info.value) is type(first) and str(info.value) == str(first)
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -130,7 +130,7 @@ class TestConstraint:
             geom2=problem.geom2, weights=problem.weights)
         zero = SphericalTriple(0.0, 0.0, 0.0)
         np.testing.assert_allclose(
-            reg.constraint_residual(zero, zero, problem), np.zeros(3))
+            oracles.constraint_residual(zero, zero, problem), np.zeros(3))
 
     def test_matches_matrix_arithmetic(self):
         rng = np.random.default_rng(19)
@@ -141,8 +141,8 @@ class TestConstraint:
             e1 = rng.normal(0, [100, 1e-2, 1e-2])
             e2 = rng.normal(0, [100, 1e-2, 1e-2])
             expected = a2 @ e2 - a1 @ e1 - problem.relative_bias
-            got = reg.constraint_residual(SphericalTriple.from_array(e1),
-                                          SphericalTriple.from_array(e2), problem)
+            got = oracles.constraint_residual(SphericalTriple.from_array(e1),
+                                              SphericalTriple.from_array(e2), problem)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -154,7 +154,7 @@ class TestSynthScenario:
     def test_constraint_holds_exactly(self):
         for seed in range(40):
             problem, (truth1, truth2) = sim.synth_registration_scenario(seed)
-            residual = reg.constraint_residual(truth1, truth2, problem)
+            residual = oracles.constraint_residual(truth1, truth2, problem)
             scale = max(1.0, float(np.linalg.norm(problem.relative_bias)))
             assert float(np.linalg.norm(residual)) < 1e-10 * scale
 
