@@ -218,13 +218,6 @@ def _site_frame_ld(site: GeodeticSite, earth: EarthModel) -> tuple[np.ndarray, n
     return rotation, origin
 
 
-def _site_rotation_ld(site: GeodeticSite) -> np.ndarray:
-    # the rotation does not depend on the earth model, so a frame cached
-    # under any earth model serves
-    cached = site.__dict__.get("_frame_ld")
-    return cached[1] if cached is not None else _site_frame_ld(site, WGS84)[0]
-
-
 def enu1_position_to_enu2(
     p_enu1, site1: GeodeticSite, site2: GeodeticSite, earth: EarthModel = WGS84
 ) -> np.ndarray:
@@ -246,14 +239,10 @@ def enu2_position_to_enu1(
 
 
 def enu1_velocity_to_enu2(v_enu1, site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
-    """Velocity transform from ENU(1) to ENU(2): the rotation alone."""
+    """Velocity transform from ENU(1) to ENU(2), the rotation alone; swap the sites to reverse."""
+    # the rotation does not depend on the earth model
     v = np.asarray(v_enu1, dtype=_LD)
-    return (_site_rotation_ld(site2) @ _site_rotation_ld(site1).T) @ v
-
-
-def enu2_velocity_to_enu1(v_enu2, site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
-    """Velocity transform from ENU(2) back to ENU(1): the rotation alone."""
-    return enu1_velocity_to_enu2(v_enu2, site2, site1)
+    return (_site_frame_ld(site2, WGS84)[0] @ _site_frame_ld(site1, WGS84)[0].T) @ v
 
 
 def enu_position_to_eci(p_enu, site: GeodeticSite, earth: EarthModel = WGS84) -> np.ndarray:

@@ -112,20 +112,13 @@ class SteadyStateConfig:
         return cls(period=period, meas_var=meas_var, bias_var=bias_var, rho=rho,
                    process_var=rho * meas_var / (period * period))
 
-    def transition_matrix(self) -> np.ndarray:
-        """Constant-velocity state transition Phi = [[1, T], [0, 1]]."""
-        return _transition(self.period)
-
-    def process_noise_matrix(self) -> np.ndarray:
-        return np.array([[0.0, 0.0], [0.0, self.process_var]])
-
     def to_filter_model(self, bias_mean: float = 0.0) -> filter_core.BiasFilterModel:
         """The equivalent two-state bias filter model (scalar additive bias)."""
         return filter_core.BiasFilterModel(
-            transition=self.transition_matrix(),
+            transition=_transition(self.period),
             output=np.array([[1.0, 0.0]]),
             bias_matrix=np.array([[1.0]]),
-            process_noise=self.process_noise_matrix(),
+            process_noise=np.array([[0.0, 0.0], [0.0, self.process_var]]),
             meas_noise=np.array([[self.meas_var]]),
             bias_cov=np.array([[self.bias_var]]),
             bias_mean=np.array([bias_mean]),

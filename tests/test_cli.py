@@ -421,8 +421,8 @@ _TRANSFORMS = {
     ("cartesian", "spherical"): lambda p, vel: coords.cartesian_to_spherical(p).as_array(),
     ("enu1", "enu2"): lambda p, vel: (coords.enu1_velocity_to_enu2 if vel
                                       else coords.enu1_position_to_enu2)(p, _SITE1, _SITE2),
-    ("enu2", "enu1"): lambda p, vel: (coords.enu2_velocity_to_enu1 if vel
-                                      else coords.enu2_position_to_enu1)(p, _SITE1, _SITE2),
+    ("enu2", "enu1"): lambda p, vel: (coords.enu1_velocity_to_enu2(p, _SITE2, _SITE1) if vel
+                                      else coords.enu2_position_to_enu1(p, _SITE1, _SITE2)),
 }
 for _frame, _site in (("enu1", _SITE1), ("enu2", _SITE2)):
     _TRANSFORMS[_frame, "eci"] = lambda p, vel, s=_site: (
@@ -578,6 +578,54 @@ def test_domain_error_exits_two(monkeypatch, capsys, error):
 
     monkeypatch.setattr(cli, "cmd_register", fail)
     assert run(capsys, "register", "--config", "-") == (2, "", f"error: {error('no solution')}\n")
+
+
+def csv_writer_text(out):
+    """What ``csv.writer`` prints for the rows ``csv.reader`` reads back from ``out``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(csv.reader(io.StringIO(out)))
+    return buf.getvalue()
+
+
+#: 23 x 23 = 529 rows, so the CSV crosses a 512-row block
+GRID_23 = (",".join(map(repr, np.geomspace(1e-3, 1e4, 23).tolist())) + ":"
+           + ",".join(map(repr, np.linspace(0.01, 1.95, 23).tolist())))
+GAINS_ARGV = [
+    ["--rho", "2", "--alpha", "0.2"],
+    ["--grid", "2,4,6,8,10:0.2,0.4,0.5", "--bias-var", "4"],
+    ["--grid", GRID_23, "--period", "0.7", "--meas-var", "2", "--bias-var", "3e16"],
+]
+
+
+class TestStandardWriters:
+    """Every CSV is what csv.writer prints; gains JSON is what json.dumps prints."""
+
+    @pytest.mark.parametrize("command,argv", [
+        ("register", ["--config", "problem"]),
+        *[("gains", argv) for argv in GAINS_ARGV],
+        ("simulate", ["--config", "scenario"]),
+        ("transform", ["--from", "spherical", "--to", "cartesian", "--point", "1000,0.5,0.1"]),
+        ("transform", ["--from", "enu1", "--to", "enu2", "--point=5e4,1e4,0",
+                       "--site1=0.1,0.7", "--site2=-0.4,0.2"]),
+        ("transform", ["--from", "enu1", "--to", "enu2", "--point", "10,20,-5",
+                       "--site1=0.1,0.7", "--site2=-0.4,0.2", "--velocity"]),
+    ])
+    def test_csv(self, tmp_path, capsys, command, argv):
+        docs = {"problem": example_config("a"), "scenario": scenario_doc(n_runs=50, n_steps=10)}
+        argv = [config_file(tmp_path, docs[a]) if a in docs else a for a in argv]
+        code, out, err = run(capsys, command, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        # line lists: a failing comparison of the whole text diffs slowly
+        assert out.splitlines(True) == csv_writer_text(out).splitlines(True)
+        if GRID_23 in argv:
+            assert out.count("\r\n") == 1 + 23 * 23
+
+    @pytest.mark.parametrize("argv", GAINS_ARGV)
+    def test_gains_json(self, capsys, argv):
+        code, out, err = run(capsys, "gains", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        encoded = json.dumps(json.loads(out), indent=2) + "\n"
+        assert out.splitlines(True) == encoded.splitlines(True)
 
 
 def test_console_entry_point():

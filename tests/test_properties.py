@@ -1,5 +1,6 @@
 """Property tests over wide input ranges (hypothesis)."""
 
+import dataclasses
 import math
 import sys
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from radarbias import coords
 from radarbias import registration as reg
 from radarbias import steady_state as ss
+from radarbias.sim_harness import synth_registration_scenario
 from radarbias.errors import (DegenerateDenominator, NonFiniteCovariance, NoValidRoot,
                               SingularGeometry, SingularSystem)
 
@@ -346,3 +348,80 @@ def test_inter_site_position_round_trips(site1, site2, point):
     for site in (site1, site2):
         p_eci = coords.enu_position_to_eci(p, site)
         assert _max_abs_diff(coords.eci_position_to_enu(p_eci, site), p) <= 1e-9
+
+
+# ROADMAP item 9: exact invariances, pinned from outside with no oracle
+
+
+def _increments(problem) -> np.ndarray:
+    sol = reg.solve_absolute_bias(problem)
+    return np.concatenate([sol.bias1.as_array(), sol.bias2.as_array()])
+
+
+_SCENARIO_SEED = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_SCENARIO_SEED)
+def test_registration_weights_scaled_by_four_keep_the_increments(seed):
+    """All six weights times 4 give bit-identical increments: sqrt(4 d) = 2 sqrt(d) exactly."""
+    problem, _ = synth_registration_scenario(seed)
+    scaled = reg.BiasCostWeights(*(4.0 * w for w in dataclasses.astuple(problem.weights)))
+    assert np.array_equal(_increments(dataclasses.replace(problem, weights=scaled)),
+                          _increments(problem))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_SCENARIO_SEED)
+def test_registration_swapped_sensors_swap_the_increments(seed):
+    """Swapping the sensors' geometries and weights and negating b swaps the increments.
+
+    Compared in meters (angles times p_t), to 2e-15 of the largest increment.
+    """
+    problem, _ = synth_registration_scenario(seed)
+    weights = dataclasses.astuple(problem.weights)
+    swapped = reg.RegistrationProblem(-problem.relative_bias, problem.geom2, problem.geom1,
+                                      reg.BiasCostWeights(*weights[3:], *weights[:3]))
+    e, e_swapped = _increments(problem), _increments(swapped)
+    p1, p2 = problem.geom1.p_t, problem.geom2.p_t
+    meters = np.array([1.0, p1, p1, 1.0, p2, p2])
+    gap = np.abs((np.concatenate([e_swapped[3:], e_swapped[:3]]) - e) * meters)
+    assert gap.max() <= 2e-15 * np.abs(e * meters).max()
+
+
+#: a seeded grid with rho in 1e-4..1e6 and alpha in (0, 2), every point valid
+_RHOS = (10.0 ** np.random.default_rng(11).uniform(-4.0, 6.0, 40)).tolist()
+_ALPHAS = np.random.default_rng(12).uniform(0.01, 1.99, 40).tolist()
+_UNIT_TABLE = ss.gain_table(_RHOS, _ALPHAS)
+#: rho, alpha, beta, the two moduli and the excluded root
+_NOISE_FREE = [0, 1, 2, 3, 4, 7]
+
+
+@settings(max_examples=100, deadline=None)
+@given(period=st.floats(min_value=1e-3, max_value=1e3),
+       meas_var=st.floats(min_value=1e-4, max_value=1e4))
+@example(period=0.5, meas_var=2.0)
+@example(period=40.0, meas_var=1e-4)
+def test_gain_table_at_fixed_rho_scales_with_period_and_meas_var(period, meas_var):
+    """At fixed rho, beta and the moduli keep their bits; S11 scales by N and S21 by N/T."""
+    table = ss.gain_table(_RHOS, _ALPHAS, period=period, meas_var=meas_var)
+    assert np.array_equal(table[:, _NOISE_FREE], _UNIT_TABLE[:, _NOISE_FREE])
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(table[:, 5], meas_var * _UNIT_TABLE[:, 5], rtol=8 * eps, atol=0)
+    np.testing.assert_allclose(table[:, 6], meas_var / period * _UNIT_TABLE[:, 6],
+                               rtol=8 * eps, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bias_var=st.floats(min_value=0.0, max_value=1e12))
+@example(bias_var=4.0)
+@example(bias_var=1e-300)
+def test_gain_table_bias_variance_adds_to_s11_only(bias_var):
+    """The bias variance leaves S21 and the gains bit-identical and adds itself to S11."""
+    noise = dict(period=0.7, meas_var=3.0)
+    base = ss.gain_table(_RHOS, _ALPHAS, **noise)
+    table = ss.gain_table(_RHOS, _ALPHAS, bias_var=bias_var, **noise)
+    assert np.array_equal(table[:, [*_NOISE_FREE, 6]], base[:, [*_NOISE_FREE, 6]])
+    # one rounding of the sum
+    np.testing.assert_allclose(table[:, 5], base[:, 5] + bias_var,
+                               rtol=np.finfo(float).eps, atol=0)

@@ -176,7 +176,7 @@ class TestPredictedCovariances:
             g = ss.SteadyStateGains(alpha, ss.solve_beta(alpha, rho))
             cov = ss.predicted_covariances(g, cfg)
             phi = np.array([[1.0, period], [0.0, 1.0]])
-            expected = phi @ cov.m_bar @ phi.T + cfg.process_noise_matrix()
+            expected = phi @ cov.m_bar @ phi.T + cfg.to_filter_model().process_noise
             np.testing.assert_allclose(cov.m_dot, expected, rtol=1e-12)
             assert cov.s11_dot == pytest.approx(cov.m_dot[0, 0] + cfg.bias_var)
             assert cov.s21_dot == pytest.approx(cov.m_dot[1, 0])
