@@ -202,20 +202,21 @@ def enu1_to_enu2(site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
 
 
 def _site_frame_ld(site: GeodeticSite, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:
-    # the site's ECI-to-ENU rotation and ECI origin in extended precision,
-    # computed once per site object and earth model; the arrays are shared,
-    # so they are read-only
-    cached = site.__dict__.get("_frame_ld")
-    if cached is not None and (cached[0] is earth or cached[0] == earth):
-        return cached[1], cached[2]
-    rotation, origin = _site_frame(_LD(site.longitude), _LD(site.latitude),
-                                   _LD(earth.equatorial_radius_m), _LD(earth.eccentricity))
-    rotation.setflags(write=False)
-    origin.setflags(write=False)
-    # a plain instance attribute, not a dataclass field; written past the
-    # frozen __setattr__
-    vars(site)["_frame_ld"] = (earth, rotation, origin)
-    return rotation, origin
+    # the site's ECI-to-ENU rotation and ECI origin in extended precision; the
+    # WGS-84 frame is computed once per site object and kept on it, shared and
+    # so read-only; any other earth model's frame is computed on each call
+    wgs84 = earth is WGS84 or earth == WGS84
+    frame = site.__dict__.get("_frame_ld") if wgs84 else None
+    if frame is None:
+        frame = _site_frame(_LD(site.longitude), _LD(site.latitude),
+                            _LD(earth.equatorial_radius_m), _LD(earth.eccentricity))
+        if wgs84:
+            for array in frame:
+                array.setflags(write=False)
+            # a plain instance attribute, not a dataclass field; written past
+            # the frozen __setattr__
+            vars(site)["_frame_ld"] = frame
+    return frame
 
 
 def enu1_position_to_enu2(

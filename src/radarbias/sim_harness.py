@@ -1,10 +1,10 @@
 """Monte-Carlo verification of the steady-state covariance predictions.
 
-Synthesizes position-velocity trajectories driven by process noise, with
-measurements corrupted by white noise and a per-run random bias, runs the
-constant-gain filter, and compares the empirical prediction-error
-covariance against the closed-form total covariance. Also synthesizes
-two-sensor registration problems with known ground-truth biases.
+Propagates each run's one-step prediction error under the constant-gain
+filter, driven by process noise, white measurement noise and a per-run
+random bias, and compares its empirical covariance against the closed-form
+total covariance. Also synthesizes two-sensor registration problems with
+known ground-truth biases.
 
 Noise comes from per-step streams keyed by the master seed: one generator
 per stream kind and step (``stream_draws``), whose draw i belongs to run
@@ -50,7 +50,6 @@ class SimScenario:
     n_runs: int
     n_steps: int
     master_seed: int
-    initial_state: tuple[float, float] = (0.0, 0.0)
     burn_in: int | None = None
 
     def __post_init__(self):
@@ -58,31 +57,12 @@ class SimScenario:
             raise ValueError("n_runs and n_steps must be at least 1")
         if self.burn_in is not None and not 0 <= self.burn_in < self.n_steps:
             raise ValueError("burn_in must lie in [0, n_steps)")
-        if len(self.initial_state) != 2 or not all(map(math.isfinite, self.initial_state)):
-            raise ValueError("initial_state must be two finite numbers")
 
     @property
     def effective_burn_in(self) -> int:
         # transient decay is governed by the closed-loop eigenvalues; half
         # the horizon is a conservative default
         return self.n_steps // 2 if self.burn_in is None else self.burn_in
-
-    def to_dict(self) -> dict:
-        return {
-            "config": {
-                "period": self.config.period,
-                "meas_var": self.config.meas_var,
-                "process_var": self.config.process_var,
-                "bias_var": self.config.bias_var,
-                "rho": self.config.rho,
-            },
-            "gains": {"alpha": self.gains.alpha, "beta": self.gains.beta},
-            "n_runs": self.n_runs,
-            "n_steps": self.n_steps,
-            "master_seed": self.master_seed,
-            "initial_state": list(self.initial_state),
-            "burn_in": self.burn_in,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimScenario":
@@ -102,8 +82,6 @@ class SimScenario:
             n_runs=_whole(doc["n_runs"], "n_runs"),
             n_steps=_whole(doc["n_steps"], "n_steps"),
             master_seed=_whole(doc["master_seed"], "master_seed"),
-            initial_state=tuple(_number(v, "initial_state")
-                                for v in doc.get("initial_state", (0.0, 0.0))),
             burn_in=None if doc.get("burn_in") is None else _whole(doc["burn_in"], "burn_in"),
         )
 
@@ -143,14 +121,14 @@ def stream_draws(master_seed: int, kind: int, step: int, n_runs: int,
 
 
 def run_monte_carlo(scenario: SimScenario) -> SimReport:
-    """Simulate all runs, filter with the fixed gain, compare covariances.
+    """Simulate all runs' prediction errors under the fixed gain, compare covariances.
 
     Draws each run's bias from N(0, bias_var) and, step by step, its process
-    and measurement noise; propagates the truth, runs the constant-gain
-    filter started on the true initial state, and accumulates outer
-    products of the one-step prediction error after the burn-in. Raises
-    InvalidGains when the gains fail validation for the scenario's noise
-    levels.
+    and measurement noise. The filter starts on the true state, whatever it
+    is, so each run's error (truth minus estimate) starts at zero. Each step
+    predicts the error, accumulates its outer product after the burn-in, and
+    corrects it by the gain times the innovation. Raises InvalidGains when
+    the gains fail validation for the scenario's noise levels.
     """
     report = steady_state.validate_gains(scenario.gains, scenario.config)
     if not report.ok:
@@ -169,26 +147,21 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
 
     period = cfg.period
     gain_pos, gain_vel = steady_state.kbar(gains, period)
-    pos = np.full(n_runs, float(scenario.initial_state[0]))
-    vel = np.full(n_runs, float(scenario.initial_state[1]))
-    est_pos, est_vel = pos.copy(), vel.copy()
+    err_pos, err_vel = np.zeros(n_runs), np.zeros(n_runs)
     acc = np.zeros(3)
     n_samples = 0
     for k in range(n_steps):
-        pos += period * vel
-        vel += stream_draws(seed, PROCESS, k, n_runs, sd_process)
-        est_pos += period * est_vel  # the estimate now holds the prediction
-        err_pos = pos - est_pos
+        err_pos += period * err_vel
+        err_vel += stream_draws(seed, PROCESS, k, n_runs, sd_process)
         if k >= burn_in:
-            err_vel = vel - est_vel
             acc[0] += err_pos @ err_pos
             acc[1] += err_pos @ err_vel
             acc[2] += err_vel @ err_vel
             n_samples += n_runs
         meas = stream_draws(seed, MEASUREMENT, k, n_runs, sd_meas)
         innovation = err_pos + meas + bias
-        est_pos += gain_pos * innovation
-        est_vel += gain_vel * innovation
+        err_pos -= gain_pos * innovation
+        err_vel -= gain_vel * innovation
 
     empirical = np.array([[acc[0], acc[1]], [acc[1], acc[2]]]) / n_samples
     predicted_s = steady_state.predicted_covariances(gains, cfg).s_dot
@@ -229,17 +202,15 @@ def synth_registration_scenario(
             elevation=rng.uniform(-max_elevation, max_elevation),
         )
 
+    def draw_truth():
+        return SphericalTriple(
+            range_m=rng.normal(0.0, range_bias_m),
+            azimuth=rng.normal(0.0, angle_bias_rad),
+            elevation=rng.normal(0.0, angle_bias_rad),
+        )
+
     geom1, geom2 = draw_geometry(), draw_geometry()
-    truth1 = SphericalTriple(
-        range_m=rng.normal(0.0, range_bias_m),
-        azimuth=rng.normal(0.0, angle_bias_rad),
-        elevation=rng.normal(0.0, angle_bias_rad),
-    )
-    truth2 = SphericalTriple(
-        range_m=rng.normal(0.0, range_bias_m),
-        azimuth=rng.normal(0.0, angle_bias_rad),
-        elevation=rng.normal(0.0, angle_bias_rad),
-    )
+    truth1, truth2 = draw_truth(), draw_truth()
     weights = registration.BiasCostWeights(
         k_r1_sq=rng.uniform(0.5, 4.0),
         k_psi1_sq=2.0 * geom1.p_t**2 * rng.uniform(0.25, 4.0),

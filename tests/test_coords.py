@@ -233,7 +233,7 @@ class TestInterSite:
 
 
 class TestSiteFrameCache:
-    """A site's long-double frame is computed once per site object and earth model."""
+    """A site's long-double WGS-84 frame is computed once per site object and kept on it."""
 
     @staticmethod
     def transforms(s1, s2, p, earth=coords.WGS84):
@@ -302,6 +302,17 @@ class TestSiteFrameCache:
         assert np.array_equal(velocity, coords.enu1_velocity_to_enu2(p, f1, f2))
         assert np.array_equal(back, coords.enu1_velocity_to_enu2(p, f2, f1))
         assert np.array_equal(position, coords.enu1_position_to_enu2(p, s1, s2, custom))
+
+    def test_other_earth_models_leave_the_kept_frame(self):
+        # a custom-earth frame is computed per call and replaces nothing, so
+        # the velocity transform after it reads the frame kept before it
+        custom = coords.EarthModel(6.4e6, 0.05)
+        s1, s2 = coords.GeodeticSite(0.1, 0.7), coords.GeodeticSite(-0.4, 0.2)
+        kept = coords._site_frame_ld(s1, coords.WGS84)
+        p = np.array([5e4, 1e4, 0.0])
+        coords.enu1_position_to_enu2(p, s1, s2, custom)
+        coords.enu1_velocity_to_enu2(p, s1, s2)
+        assert all(a is b for a, b in zip(kept, coords._site_frame_ld(s1, coords.WGS84)))
 
     def test_site_value_semantics_unchanged(self):
         used, never = coords.GeodeticSite(0.25, -0.5), coords.GeodeticSite(0.25, -0.5)

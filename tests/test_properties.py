@@ -350,6 +350,57 @@ def test_inter_site_position_round_trips(site1, site2, point):
         assert _max_abs_diff(coords.eci_position_to_enu(p_eci, site), p) <= 1e-9
 
 
+_EPS = float(np.finfo(float).eps)
+#: a coordinate of magnitude 1e-150 to 1e150, or zero; squares neither
+#: overflow nor underflow to zero unless the coordinate is zero
+_WIDE = st.one_of(st.just(0.0), st.floats(min_value=1e-150, max_value=1e150),
+                  st.floats(min_value=-1e150, max_value=-1e-150))
+_WIDE_VECTOR = st.tuples(_WIDE, _WIDE, _WIDE).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_WIDE_VECTOR)
+@example(point=(0.0, 0.0, -1e-150))  # on the pole
+@example(point=(-1e150, 0.0, 1e-150))  # azimuth pi
+@example(point=(1e150, -1e-150, 1e150))
+def test_cartesian_spherical_cartesian_round_trip(point):
+    """Cartesian -> spherical -> cartesian returns the point within 8 eps of its norm."""
+    v = np.array(point)
+    back = coords.spherical_to_cartesian(coords.cartesian_to_spherical(v))
+    assert np.max(np.abs(back - v)) <= 8 * _EPS * math.hypot(*point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(range_m=st.floats(min_value=1e-150, max_value=1e150),
+       azimuth=st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True),
+       elevation=st.floats(min_value=-math.pi / 2, max_value=math.pi / 2))
+@example(range_m=1e-150, azimuth=math.pi, elevation=math.pi / 2)
+@example(range_m=1e150, azimuth=math.nextafter(-math.pi, 0.0), elevation=-1.5)
+def test_spherical_cartesian_spherical_round_trip(range_m, azimuth, elevation):
+    """Spherical -> cartesian -> spherical returns the triple within 8 eps.
+
+    The range is compared relative to itself, the elevation in radians, and
+    the azimuth in radians times cos(elevation), the arc it spans on the
+    unit sphere: near the poles the azimuth is ill-conditioned.
+    """
+    back = coords.cartesian_to_spherical(coords.spherical_to_cartesian(
+        coords.SphericalTriple(range_m, azimuth, elevation)))
+    assert abs(back.range_m - range_m) <= 8 * _EPS * range_m
+    assert abs(back.elevation - elevation) <= 8 * _EPS
+    d_azimuth = math.remainder(back.azimuth - azimuth, 2 * math.pi)
+    assert abs(d_azimuth) * math.cos(elevation) <= 8 * _EPS
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_WIDE_VECTOR, azimuth=_ANGLE, elevation=_ANGLE)
+def test_enu_face_enu_round_trip(point, azimuth, elevation):
+    """ENU -> face -> ENU returns the vector within 8 eps of its norm."""
+    v = np.array(point)
+    face = coords.enu_to_face(azimuth, elevation) @ v
+    back = coords.face_to_enu(azimuth, elevation) @ face
+    assert np.max(np.abs(back - v)) <= 8 * _EPS * math.hypot(*point)
+
+
 # ROADMAP item 9: exact invariances, pinned from outside with no oracle
 
 
