@@ -87,23 +87,16 @@ class BiasFilterModel:
     bias_jac_bias: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        for name in ("transition", "output", "bias_matrix", "process_noise",
-                     "meas_noise", "bias_cov", "bias_mean"):
+        names = [f.name for f in fields(self)[:7]]
+        for name in names:
             # a read-only copy: the caller's array stays writable
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n, q, m, p = self.dims
-        checks = {
-            "transition": (self.transition, (n, n)),
-            "output": (self.output, (q, n)),
-            "bias_matrix": (self.bias_matrix, (q, m)),
-            "process_noise": (self.process_noise, (n, n)),
-            "meas_noise": (self.meas_noise, (q, q)),
-            "bias_cov": (self.bias_cov, (p, p)),
-            "bias_mean": (self.bias_mean, (p,)),
-        }
-        for name, (arr, want) in checks.items():
+        wants = ((n, n), (q, n), (q, m), (n, n), (q, q), (p, p), (p,))
+        for name, want in zip(names, wants):
+            arr = getattr(self, name)
             if arr.shape != want:
                 raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {want}")
         eye = np.eye(n)

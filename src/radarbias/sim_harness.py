@@ -9,10 +9,11 @@ known ground-truth biases.
 Noise comes from per-step streams keyed by the master seed: one generator
 per stream kind and step (``stream_draws``), whose draw i belongs to run
 i. The bias stream (kind 0) is drawn once at step 0; the process (kind 1)
-and measurement (kind 2) streams are drawn once per step. A run's noise
-therefore does not depend on the number of runs, and reports are
-reproducible bit for bit. This layout is ``STREAM_VERSION`` 2; reports of
-the earlier per-run-generator layout are not bit-comparable with it.
+and measurement (kind 2) streams once per step, by two pool threads ahead
+of the error loop. A run's noise thus does not depend on the number of
+runs; summed in a fixed order without BLAS, reports are the same bit for
+bit on any thread count, CPUs or BLAS. This layout is ``STREAM_VERSION`` 2;
+reports of the earlier per-run-generator layout are not bit-comparable.
 """
 
 from __future__ import annotations
@@ -76,9 +77,7 @@ class SimScenario:
                 rho=None if cfg.get("rho") is None else _number(cfg["rho"], "rho"),
             ),
             gains=steady_state.SteadyStateGains(
-                alpha=_number(doc["gains"]["alpha"], "alpha"),
-                beta=_number(doc["gains"]["beta"], "beta"),
-            ),
+                **{name: _number(doc["gains"][name], name) for name in ("alpha", "beta")}),
             n_runs=_whole(doc["n_runs"], "n_runs"),
             n_steps=_whole(doc["n_steps"], "n_steps"),
             master_seed=_whole(doc["master_seed"], "master_seed"),
@@ -110,14 +109,16 @@ class SimReport:
 
 
 def stream_draws(master_seed: int, kind: int, step: int, n_runs: int,
-                 scale: float) -> np.ndarray:
+                 scale: float, out: np.ndarray | None = None) -> np.ndarray:
     """Zero-mean normal draws of one stream kind at one step, entry i for run i.
 
     The generator is keyed by ``(master_seed, kind, step)`` and fills its
     output in order, so the first n entries are the same for any n_runs >= n.
+    They are ``scale`` times standard normals, written into ``out`` if given.
     """
     seq = np.random.SeedSequence(master_seed, spawn_key=(kind, step))
-    return np.random.default_rng(seq).normal(0.0, scale, n_runs)
+    draws = np.random.default_rng(seq).standard_normal(n_runs, out=out)
+    return np.multiply(draws, scale, out=draws)
 
 
 def run_monte_carlo(scenario: SimScenario) -> SimReport:
@@ -129,49 +130,55 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     predicts the error, accumulates its outer product after the burn-in, and
     corrects it by the gain times the innovation. Raises InvalidGains when
     the gains fail validation for the scenario's noise levels.
+
+    Two pool threads draw the noise up to three steps ahead into a ring of
+    four steps' draws; the pool closes before this returns.
     """
     report = steady_state.validate_gains(scenario.gains, scenario.config)
     if not report.ok:
         raise InvalidGains(f"gains fail validation: {', '.join(report.failures)}")
 
     t0 = time.perf_counter()
-    cfg, gains = scenario.config, scenario.gains
+    cfg, gains, period = scenario.config, scenario.gains, scenario.config.period
     seed, n_runs, n_steps = scenario.master_seed, scenario.n_runs, scenario.n_steps
     burn_in = scenario.effective_burn_in
-    sd_process = math.sqrt(cfg.process_var)
-    sd_meas = math.sqrt(cfg.meas_var)
+    scales = math.sqrt(cfg.process_var), math.sqrt(cfg.meas_var)
 
     # a per-run tag, prefix-stable in n_runs; it seeds nothing
     run_seeds = np.random.SeedSequence(seed).generate_state(n_runs).tolist()
     bias = stream_draws(seed, BIAS, 0, n_runs, math.sqrt(cfg.bias_var))
 
-    period = cfg.period
     gain_pos, gain_vel = steady_state.kbar(gains, period)
-    err_pos, err_vel = np.zeros(n_runs), np.zeros(n_runs)
-    acc = np.zeros(3)
-    n_samples = 0
-    for k in range(n_steps):
-        err_pos += period * err_vel
-        err_vel += stream_draws(seed, PROCESS, k, n_runs, sd_process)
-        if k >= burn_in:
-            acc[0] += err_pos @ err_pos
-            acc[1] += err_pos @ err_vel
-            acc[2] += err_vel @ err_vel
-            n_samples += n_runs
-        meas = stream_draws(seed, MEASUREMENT, k, n_runs, sd_meas)
-        innovation = err_pos + meas + bias
-        err_pos -= gain_pos * innovation
-        err_vel -= gain_vel * innovation
+    ring = np.empty((4, 2, n_runs))  # step k's process and measurement draws at k % 4
 
-    empirical = np.array([[acc[0], acc[1]], [acc[1], acc[2]]]) / n_samples
-    predicted_s = steady_state.predicted_covariances(gains, cfg).s_dot
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(predicted_s != 0.0,
-                       (empirical - predicted_s) / predicted_s,
-                       empirical - predicted_s)
+    def fill(k):
+        for kind, scale, out in zip((PROCESS, MEASUREMENT), scales, ring[k % 4]):
+            stream_draws(seed, kind, k, n_runs, scale, out=out)
+    err_pos, err_vel = err = np.zeros((2, n_runs))
+    acc = np.zeros((2, 2))
+    from concurrent.futures import ThreadPoolExecutor  # here: `import radarbias` loads no pool
+    with ThreadPoolExecutor(2) as pool:
+        drawn = [pool.submit(fill, k) for k in range(min(3, n_steps))]
+        for k in range(n_steps):
+            drawn[k].result()
+            if k + 3 < n_steps:  # into the slot step k - 1 has just freed
+                drawn.append(pool.submit(fill, k + 3))
+            process, meas = ring[k % 4]
+            err_pos += period * err_vel
+            err_vel += process
+            if k >= burn_in:
+                acc += np.einsum("ir,jr->ij", err, err)
+            innovation = err_pos + meas + bias
+            err_pos -= gain_pos * innovation
+            err_vel -= gain_vel * innovation
+
+    n_samples = n_runs * (n_steps - burn_in)
+    empirical = acc / n_samples
+    pred = steady_state.predicted_covariances(gains, cfg).s_dot
+    rel = np.divide(empirical - pred, pred, out=empirical - pred, where=pred != 0.0)
     return SimReport(
         empirical_s=empirical,
-        predicted_s=predicted_s,
+        predicted_s=pred,
         relative_errors=rel,
         run_seeds=run_seeds,
         n_samples=n_samples,

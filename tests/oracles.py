@@ -11,8 +11,10 @@ import json
 
 import numpy as np
 
+from radarbias import sim_harness as sim
 from radarbias.errors import SingularSystem
 from radarbias.registration import _COND_LIMIT, _constraint_matrix, build_A
+from radarbias.steady_state import kbar
 
 # ---------------------------------------------------------------------------
 # reference registration examples: inputs as printed, expected outputs
@@ -275,6 +277,31 @@ def classic_kalman_step(phi, h, q, r, x, p, z):
     closure = np.eye(len(x)) - gain @ h
     p_new = closure @ p_pred @ closure.T + gain @ r @ gain.T
     return x_new, 0.5 * (p_new + p_new.T), gain
+
+
+def monte_carlo_reference(scenario):
+    """``run_monte_carlo``'s empirical S from a serial loop that draws each step in turn.
+
+    No pool and no ring: each step's process and measurement draws are
+    made where the loop uses them, and the sums are formed as the library
+    forms them, so the two agree bit for bit.
+    """
+    cfg, seed, n_runs = scenario.config, scenario.master_seed, scenario.n_runs
+    burn_in = scenario.effective_burn_in
+    bias = sim.stream_draws(seed, sim.BIAS, 0, n_runs, np.sqrt(cfg.bias_var))
+    gain_pos, gain_vel = kbar(scenario.gains, cfg.period)
+    err = np.zeros((2, n_runs))
+    acc = np.zeros((2, 2))
+    for k in range(scenario.n_steps):
+        err[0] += cfg.period * err[1]
+        err[1] += sim.stream_draws(seed, sim.PROCESS, k, n_runs, np.sqrt(cfg.process_var))
+        if k >= burn_in:
+            acc += np.einsum("ir,jr->ij", err, err)
+        innovation = (err[0] + sim.stream_draws(seed, sim.MEASUREMENT, k, n_runs,
+                                                np.sqrt(cfg.meas_var)) + bias)
+        err[0] -= gain_pos * innovation
+        err[1] -= gain_vel * innovation
+    return acc / (n_runs * (scenario.n_steps - burn_in))
 
 
 def bias_filter_step(model, x, m, d, s, z, gain=None):

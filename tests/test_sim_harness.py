@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +111,57 @@ class TestMonteCarlo:
         few = sim.run_monte_carlo(scenario(n_runs=500, n_steps=4))
         many = sim.run_monte_carlo(scenario(n_runs=2000, n_steps=4))
         assert few.run_seeds == many.run_seeds[:500]
+
+    @pytest.mark.parametrize("kind", [sim.BIAS, sim.PROCESS, sim.MEASUREMENT])
+    def test_draws_into_a_buffer(self, kind):
+        buf = np.empty(1000)
+        got = sim.stream_draws(42, kind, 5, 1000, 1.7, out=buf)
+        assert got is buf
+        assert got.tobytes() == sim.stream_draws(42, kind, 5, 1000, 1.7).tobytes()
+        # the bits of the generator's own normal(0, scale, n)
+        seq = np.random.SeedSequence(42, spawn_key=(kind, 5))
+        assert got.tobytes() == np.random.default_rng(seq).normal(0.0, 1.7, 1000).tobytes()
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 9])
+    def test_short_horizons_match_serial_reference(self, n_steps):
+        # 1-3 steps are all drawn before the loop starts, 4 fills the ring,
+        # 5 and 9 draw into slots that earlier steps freed
+        sc = scenario(n_runs=300, n_steps=n_steps, burn_in=0)
+        report = sim.run_monte_carlo(sc)
+        np.testing.assert_array_equal(report.empirical_s, oracles.monte_carlo_reference(sc))
+        assert report.n_samples == 300 * n_steps
+
+    def test_pool_threads_end_with_the_call(self):
+        before = threading.active_count()
+        sim.run_monte_carlo(scenario(n_runs=100, n_steps=20))
+        assert threading.active_count() == before
+
+    def test_same_bits_for_any_blas_thread_count_or_cpus(self):
+        # 20000 runs: above the length at which OpenBLAS splits a dot product
+        # over threads; summed that way, S11 differed in its last bits between
+        # 1 and 2 threads at this seed
+        code = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'pin':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from radarbias import sim_harness as sim, steady_state as ss\n"
+            "sc = sim.SimScenario(config=ss.SteadyStateConfig.from_rho(2.0, bias_var=4.0),\n"
+            "    gains=ss.SteadyStateGains(0.2, 0.04385), n_runs=20000, n_steps=200,\n"
+            "    master_seed=7)\n"
+            "print(sim.run_monte_carlo(sc).empirical_s.tobytes().hex())\n")
+        path = [str(Path(sim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        runs = [("1", "free"), ("2", "free")]
+        if hasattr(os, "sched_setaffinity"):
+            runs.append(("2", "pin"))
+        outputs = set()
+        for threads, cpus in runs:
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, path))}
+            proc = subprocess.run([sys.executable, "-c", code, cpus], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     def test_streams_are_distinct(self):
         draws = [sim.stream_draws(42, kind, step, 8, 1.0)
