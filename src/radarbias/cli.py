@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 domain error (a ``DomainError``: singular
 geometry or system, no valid gain root, invalid gains, overflowing
 covariance or transform result), 3 input error (malformed or
-schema-violating config, unknown frame pair). Numbers are printed with
-six significant digits; downstream comparisons should use tolerances.
+schema-violating config, unknown frame pair, command-line usage). Numbers
+are printed with six significant digits; compare with tolerances.
 """
 
 from __future__ import annotations
@@ -76,8 +76,6 @@ def _from_doc(factory, doc: dict, what: str):
     """Build a library object from its document; schema faults become ConfigError."""
     try:
         return factory(doc)
-    except DomainError:
-        raise
     except KeyError as exc:
         raise ConfigError(f"bad {what} document: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -165,13 +163,14 @@ def cmd_simulate(args) -> int:
     scenario = _from_doc(sim_harness.SimScenario.from_dict, doc, "scenario")
     report = sim_harness.run_monte_carlo(scenario)
     if args.format == "json":
-        doc_out = report.to_dict()
-        for key in ("empirical_S", "predicted_S", "relative_errors"):
-            doc_out[key] = [[_fmt(v) for v in row] for row in doc_out[key]]
-        doc_out["wall_time_s"] = _fmt(doc_out["wall_time_s"])
-        # the seeds as the indented encoder prints them (n_runs >= 1), in about half its time
-        doc_out["run_seeds"] = []
-        seeds = ",\n    ".join(map(str, report.run_seeds))
+        doc_out = {key: [[_fmt(v) for v in row] for row in matrix.tolist()] for key, matrix in
+                   zip(("empirical_S", "predicted_S", "relative_errors"),
+                       (report.empirical_s, report.predicted_s, report.relative_errors))}
+        doc_out.update(run_seeds=[], stream_version=sim_harness.STREAM_VERSION,
+                       n_samples=report.n_samples, wall_time_s=_fmt(report.wall_time_s))
+        # one tag per run (it seeds nothing), as the indented encoder prints them, in half its time
+        tags = np.random.SeedSequence(scenario.master_seed).generate_state(scenario.n_runs)
+        seeds = ",\n    ".join(map(str, tags.tolist()))
         text = json.dumps(doc_out, indent=2, allow_nan=False).replace(
             '"run_seeds": []', '"run_seeds": [\n    ' + seeds + "\n  ]", 1)
     else:
@@ -227,7 +226,7 @@ def cmd_transform(args) -> int:
             out = (coords.enu1_velocity_to_enu2(vec, sites[src], sites[dst]) if args.velocity
                    else coords.enu1_position_to_enu2(vec, sites[src], sites[dst], earth))
         elif src in _ENU and dst == "eci":
-            out = (coords.enu_to_eci(site(src)) @ vec if args.velocity
+            out = (coords.eci_to_enu(site(src)).T @ vec if args.velocity
                    else coords.enu_position_to_eci(vec, site(src), earth))
         elif src == "eci" and dst in _ENU:
             out = (coords.eci_to_enu(site(dst)) @ vec if args.velocity
@@ -256,8 +255,16 @@ def cmd_transform(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, an input error, not argparse's 2; subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radarbias",
         description="Two-radar absolute-bias recovery and bias-aware "
                     "steady-state tracking gains.")

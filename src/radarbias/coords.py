@@ -187,18 +187,13 @@ def eci_to_enu(site: GeodeticSite) -> np.ndarray:
     return _site_frame(float(site.longitude), float(site.latitude), 1.0, 0.0)[0]
 
 
-def enu_to_eci(site: GeodeticSite) -> np.ndarray:
-    """Inverse of eci_to_enu (the transpose)."""
-    return eci_to_enu(site).T
-
-
 def enu1_to_enu2(site1: GeodeticSite, site2: GeodeticSite) -> np.ndarray:
     """Rotation from site 1's ENU frame to site 2's, through ECI.
 
-    Equals eci_to_enu(site2) @ enu_to_eci(site1); the transpose,
+    Equals eci_to_enu(site2) @ eci_to_enu(site1).T; the transpose,
     enu1_to_enu2(site2, site1), is the reverse rotation.
     """
-    return eci_to_enu(site2) @ enu_to_eci(site1)
+    return eci_to_enu(site2) @ eci_to_enu(site1).T
 
 
 def _site_frame_ld(site: GeodeticSite, earth: EarthModel) -> tuple[np.ndarray, np.ndarray]:

@@ -50,7 +50,7 @@ class DegenerateDenominator(DomainError):
 
 
 class NonFiniteCovariance(DomainError):
-    """A closed-form steady-state covariance entry overflows."""
+    """A closed-form or Monte-Carlo covariance entry, or a relative error, overflows."""
 
 
 class NoValidRoot(DomainError):

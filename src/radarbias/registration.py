@@ -39,10 +39,13 @@ _CONSTRAINT_RTOL = 1e-9
 
 def _number(value, name: str, kind=float):
     # a document's number as ``kind``; float() and int() would also take a
-    # bool or a numeric string
+    # bool or a numeric string, and float() raises OverflowError on a huge int
     if isinstance(value, (bool, str)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{name} does not fit a double") from None
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,8 @@ class SensorGeometry:
 class BiasCostWeights:
     """Squared bias costs: range weights unitless, angle weights in m^2.
 
-    All six must be strictly positive; angle weights carry m^2 so the six
-    quadratic terms are commensurable.
+    All six must be finite and strictly positive; angle weights carry m^2 so
+    the six quadratic terms are commensurable.
     """
 
     k_r1_sq: float
@@ -80,8 +83,8 @@ class BiasCostWeights:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not value > 0:
-                raise ValueError(f"weight {name} must be strictly positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"weight {name} must be finite and positive, got {value}")
 
     def sensor1(self) -> np.ndarray:
         return np.array([self.k_r1_sq, self.k_psi1_sq, self.k_theta1_sq])

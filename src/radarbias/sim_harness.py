@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import registration, steady_state
 from .coords import SphericalTriple
-from .errors import InvalidGains
+from .errors import InvalidGains, NonFiniteCovariance
 from .registration import _number
 
-#: version of the noise-stream layout, recorded in every report
+#: version of the noise-stream layout, recorded in every ``simulate`` report
 STREAM_VERSION = 2
 #: stream kinds of ``stream_draws``
 BIAS, PROCESS, MEASUREMENT = 0, 1, 2
@@ -92,20 +92,8 @@ class SimReport:
     empirical_s: np.ndarray
     predicted_s: np.ndarray
     relative_errors: np.ndarray
-    run_seeds: list[int] = field(repr=False)
     n_samples: int = 0
     wall_time_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "empirical_S": self.empirical_s.tolist(),
-            "predicted_S": self.predicted_s.tolist(),
-            "relative_errors": self.relative_errors.tolist(),
-            "run_seeds": list(self.run_seeds),
-            "stream_version": STREAM_VERSION,
-            "n_samples": self.n_samples,
-            "wall_time_s": self.wall_time_s,
-        }
 
 
 def stream_draws(master_seed: int, kind: int, step: int, n_runs: int,
@@ -129,7 +117,9 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     is, so each run's error (truth minus estimate) starts at zero. Each step
     predicts the error, accumulates its outer product after the burn-in, and
     corrects it by the gain times the innovation. Raises InvalidGains when
-    the gains fail validation for the scenario's noise levels.
+    the gains fail validation for the scenario's noise levels, and
+    NonFiniteCovariance when the empirical covariance or its relative
+    error overflows a double.
 
     Two pool threads draw the noise up to three steps ahead into a ring of
     four steps' draws; the pool closes before this returns.
@@ -143,9 +133,9 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     seed, n_runs, n_steps = scenario.master_seed, scenario.n_runs, scenario.n_steps
     burn_in = scenario.effective_burn_in
     scales = math.sqrt(cfg.process_var), math.sqrt(cfg.meas_var)
+    n_samples = n_runs * (n_steps - burn_in)
+    pred = steady_state.predicted_covariances(gains, cfg).s_dot
 
-    # a per-run tag, prefix-stable in n_runs; it seeds nothing
-    run_seeds = np.random.SeedSequence(seed).generate_state(n_runs).tolist()
     bias = stream_draws(seed, BIAS, 0, n_runs, math.sqrt(cfg.bias_var))
 
     gain_pos, gain_vel = steady_state.kbar(gains, period)
@@ -157,7 +147,8 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     err_pos, err_vel = err = np.zeros((2, n_runs))
     acc = np.zeros((2, 2))
     from concurrent.futures import ThreadPoolExecutor  # here: `import radarbias` loads no pool
-    with ThreadPoolExecutor(2) as pool:
+    # an overflow is reported below as a non-finite covariance, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(2) as pool:
         drawn = [pool.submit(fill, k) for k in range(min(3, n_steps))]
         for k in range(n_steps):
             drawn[k].result()
@@ -171,16 +162,14 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
             innovation = err_pos + meas + bias
             err_pos -= gain_pos * innovation
             err_vel -= gain_vel * innovation
-
-    n_samples = n_runs * (n_steps - burn_in)
-    empirical = acc / n_samples
-    pred = steady_state.predicted_covariances(gains, cfg).s_dot
-    rel = np.divide(empirical - pred, pred, out=empirical - pred, where=pred != 0.0)
+        empirical = acc / n_samples
+        rel = np.divide(empirical - pred, pred, out=empirical - pred, where=pred != 0.0)
+    if not (np.isfinite(empirical).all() and np.isfinite(rel).all()):
+        raise NonFiniteCovariance("empirical covariance or its relative error overflows")
     return SimReport(
         empirical_s=empirical,
         predicted_s=pred,
         relative_errors=rel,
-        run_seeds=run_seeds,
         n_samples=n_samples,
         wall_time_s=time.perf_counter() - t0,
     )
@@ -188,8 +177,6 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
 
 def synth_registration_scenario(
     seed: int,
-    p_t_range: tuple[float, float] = (5e3, 1e5),
-    max_elevation: float = 1.2,
     range_bias_m: float = 200.0,
     angle_bias_rad: float = 5e-3,
 ) -> tuple[registration.RegistrationProblem, tuple[SphericalTriple, SphericalTriple]]:
@@ -204,9 +191,9 @@ def synth_registration_scenario(
 
     def draw_geometry():
         return registration.SensorGeometry(
-            p_t=rng.uniform(*p_t_range),
+            p_t=rng.uniform(5e3, 1e5),
             azimuth=rng.uniform(-np.pi, np.pi),
-            elevation=rng.uniform(-max_elevation, max_elevation),
+            elevation=rng.uniform(-1.2, 1.2),
         )
 
     def draw_truth():

@@ -95,8 +95,7 @@ class SteadyStateConfig:
                 raise ValueError("rho is required when meas_var is 0 and process_var > 0")
             object.__setattr__(self, "rho", derived)
         elif derived is not None:
-            scale = max(abs(derived), 1e-300)
-            if abs(self.rho - derived) > _RHO_CONSISTENCY_RTOL * max(scale, 1.0):
+            if abs(self.rho - derived) > _RHO_CONSISTENCY_RTOL * max(abs(derived), 1.0):
                 raise ValueError(
                     f"rho {self.rho} inconsistent with process_var*period^2/meas_var"
                     f" = {derived}")
@@ -294,14 +293,6 @@ class SteadyStateCovariances:
     m_bar: np.ndarray
     m_dot: np.ndarray
     s_dot: np.ndarray
-
-    @property
-    def s11_dot(self) -> float:
-        return float(self.s_dot[0, 0])
-
-    @property
-    def s21_dot(self) -> float:
-        return float(self.s_dot[1, 0])
 
 
 def _covariances(a, b, period, meas_var, process_var, bias_var):

@@ -289,6 +289,18 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: gains fail validation") and len(err.splitlines()) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_sum_exit_two(self, tmp_path, capsys, fmt):
+        # a finite bias variance whose sum of squared errors overflows: once the
+        # serializer's error (json) or inf and nan entries with exit 0 (csv)
+        doc = scenario_doc()
+        doc["config"]["bias_var"] = 1e308
+        code, out, err = run(capsys, "simulate", "--config", config_file(tmp_path, doc),
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: empirical covariance or its relative error overflows\n"
+
     def test_csv_format(self, tmp_path, capsys):
         code, out, _ = run(capsys, "simulate", "--config", config_file(tmp_path, scenario_doc()),
                            "--format", "csv")
@@ -426,7 +438,7 @@ _TRANSFORMS = {
 }
 for _frame, _site in (("enu1", _SITE1), ("enu2", _SITE2)):
     _TRANSFORMS[_frame, "eci"] = lambda p, vel, s=_site: (
-        coords.enu_to_eci(s) @ p if vel else coords.enu_position_to_eci(p, s))
+        coords.eci_to_enu(s).T @ p if vel else coords.enu_position_to_eci(p, s))
     _TRANSFORMS["eci", _frame] = lambda p, vel, s=_site: (
         coords.eci_to_enu(s) @ p if vel else coords.eci_position_to_enu(p, s))
     _TRANSFORMS[_frame, "face"] = lambda p, vel: coords.enu_to_face(*_FACE) @ p
@@ -542,6 +554,11 @@ def with_value(doc, keys, value):
      "registration document: k_theta2_sq must be a number, got '5e9'"),
     ("register", ("sensor2", "p_t"), "50000",
      "registration document: p_t must be a number, got '50000'"),
+    # an integer beyond a double once raised OverflowError, a traceback and exit 1
+    pytest.param("register", ("sensor1", "p_t"), 10**400,
+                 "registration document: p_t does not fit a double", id="register-p_t-10**400"),
+    pytest.param("simulate", ("config", "period"), 10**400,
+                 "scenario document: period does not fit a double", id="simulate-period-10**400"),
 ])
 def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, command, keys, value,
                                               message):
@@ -550,6 +567,26 @@ def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, command, keys, v
                      keys, value)
     assert run(capsys, command, "--config", config_file(tmp_path, doc)) == (
         3, "", f"error: bad {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gains", "--period", "abc"], ["transform", "--to", "bogus"], ["simulate"], ["bogus"]])
+def test_usage_errors_exit_three(capsys, argv):
+    # argparse's own exit code is 2, which the CLI keeps for domain errors
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: radarbias") and err.count("error:") == 1
+    assert err.splitlines()[-1].startswith("radarbias")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: radarbias")
 
 
 DOMAIN_ERRORS = (errors.SingularGeometry, errors.SingularSystem, errors.NoValidRoot,

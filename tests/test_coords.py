@@ -194,9 +194,9 @@ class TestInterSite:
         # the baseline seen from either site is one ECI vector, reversed
         rng = np.random.default_rng(29)
         s1, s2 = self.rng_sites(rng)
-        fwd = coords.enu_to_eci(s1) @ np.asarray(
+        fwd = coords.eci_to_enu(s1).T @ np.asarray(
             coords.enu1_position_to_enu2(np.zeros(3), s2, s1), dtype=float)
-        back = coords.enu_to_eci(s2) @ np.asarray(
+        back = coords.eci_to_enu(s2).T @ np.asarray(
             coords.enu1_position_to_enu2(np.zeros(3), s1, s2), dtype=float)
         np.testing.assert_allclose(back, -fwd, rtol=1e-12, atol=1e-6)
         np.testing.assert_allclose(fwd, np.asarray(site_origin_eci(s2) - site_origin_eci(s1),

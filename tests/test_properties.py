@@ -66,7 +66,7 @@ def test_gain_table_rows_equal_scalar_entry_points(rho, alpha):
                 ss.gain_table([rho], alphas, **noise)
             assert str(info.value) == str(exc)
         return
-    want = [rho, alpha, beta, cov.s11_dot, cov.s21_dot, ss.excluded_root(alpha)]
+    want = [rho, alpha, beta, cov.s_dot[0, 0], cov.s_dot[1, 0], ss.excluded_root(alpha)]
     (row,) = ss.gain_table([rho], [alpha], **noise).tolist()
     # the moduli have no scalar entry point: validate_gains judges stability on them
     assert [*row[:3], *row[5:]] == want and max(row[3:5]) < 1.0

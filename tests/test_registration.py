@@ -117,9 +117,12 @@ class TestCosts:
             assert sol.cost == pytest.approx(e @ np.diag(1.0 / d) @ e, rel=1e-12)
 
     def test_weights_must_be_positive(self):
-        bad = dict(oracles.EXAMPLE_WEIGHTS, k_r1_sq=0.0)
-        with pytest.raises(ValueError):
-            reg.BiasCostWeights(**bad)
+        # an infinite weight once passed, and every solve then failed as a
+        # domain error: inf * 0 made the objective nan
+        for value in (0.0, -1.0, np.inf, np.nan):
+            bad = dict(oracles.EXAMPLE_WEIGHTS, k_r1_sq=value)
+            with pytest.raises(ValueError, match="k_r1_sq must be finite and positive"):
+                reg.BiasCostWeights(**bad)
 
 
 class TestConstraint:

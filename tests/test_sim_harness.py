@@ -12,7 +12,7 @@ from radarbias import filter_core as fc
 from radarbias import registration as reg
 from radarbias import sim_harness as sim
 from radarbias import steady_state as ss
-from radarbias.errors import InvalidGains
+from radarbias.errors import InvalidGains, NonFiniteCovariance
 
 import oracles
 
@@ -93,7 +93,6 @@ class TestMonteCarlo:
         a = sim.run_monte_carlo(scenario(n_runs=300, n_steps=50))
         b = sim.run_monte_carlo(scenario(n_runs=300, n_steps=50))
         np.testing.assert_array_equal(a.empirical_s, b.empirical_s)
-        assert a.run_seeds == b.run_seeds
         assert a.n_samples == b.n_samples
 
     def test_error_shrinks_with_more_runs(self):
@@ -108,9 +107,6 @@ class TestMonteCarlo:
                 few = sim.stream_draws(42, kind, step, 500, 2.0)
                 many = sim.stream_draws(42, kind, step, 2000, 2.0)
                 np.testing.assert_array_equal(few, many[:500])
-        few = sim.run_monte_carlo(scenario(n_runs=500, n_steps=4))
-        many = sim.run_monte_carlo(scenario(n_runs=2000, n_steps=4))
-        assert few.run_seeds == many.run_seeds[:500]
 
     @pytest.mark.parametrize("kind", [sim.BIAS, sim.PROCESS, sim.MEASUREMENT])
     def test_draws_into_a_buffer(self, kind):
@@ -168,9 +164,12 @@ class TestMonteCarlo:
                  for kind in (sim.BIAS, sim.PROCESS, sim.MEASUREMENT) for step in (0, 1)]
         assert len({d.tobytes() for d in draws}) == len(draws)
 
-    def test_stream_version_in_report(self):
-        doc = sim.run_monte_carlo(scenario(n_runs=10, n_steps=4)).to_dict()
-        assert doc["stream_version"] == sim.STREAM_VERSION == 2
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_raises(self):
+        # a finite bias variance near the largest double: the sum of squared
+        # errors overflows, and once came back as inf and nan entries
+        with pytest.raises(NonFiniteCovariance, match="overflows"):
+            sim.run_monte_carlo(scenario(bias_var=1e308, n_runs=100, n_steps=20))
 
     def test_invalid_gains_rejected(self):
         bad = sim.SimScenario(

@@ -178,8 +178,8 @@ class TestPredictedCovariances:
             phi = np.array([[1.0, period], [0.0, 1.0]])
             expected = phi @ cov.m_bar @ phi.T + cfg.to_filter_model().process_noise
             np.testing.assert_allclose(cov.m_dot, expected, rtol=1e-12)
-            assert cov.s11_dot == pytest.approx(cov.m_dot[0, 0] + cfg.bias_var)
-            assert cov.s21_dot == pytest.approx(cov.m_dot[1, 0])
+            assert cov.s_dot[0, 0] == pytest.approx(cov.m_dot[0, 0] + cfg.bias_var)
+            assert cov.s_dot[1, 0] == pytest.approx(cov.m_dot[1, 0])
 
     def test_gain_self_consistency(self):
         # on the solved (alpha, beta) curve the two steady gain equations
