@@ -141,8 +141,10 @@ def cmd_gains(args) -> int:
     rhos = _parse_float_list(rho_part, "rho")
     alphas = _parse_float_list(alpha_part, "alpha")
 
-    if args.period <= 0 or args.meas_var <= 0 or args.bias_var < 0:
-        raise ConfigError("period and meas-var must be positive, bias-var nonnegative")
+    # the noise flags, checked before the table as a config without process noise
+    steady_state.SteadyStateConfig(args.period, args.meas_var, 0.0, args.bias_var)
+    if not args.meas_var > 0:
+        raise ConfigError(f"meas-var {args.meas_var} must be positive")
     table = steady_state.gain_table(rhos, alphas, period=args.period,
                                     meas_var=args.meas_var, bias_var=args.bias_var)
     columns = steady_state.GAIN_SWEEP_HEADER

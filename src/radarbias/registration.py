@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,13 @@ def _number(value, name: str, kind=float):
         return kind(value)
     except OverflowError:
         raise ValueError(f"{name} does not fit a double") from None
+
+
+def _from_numbers(kind, doc: dict):
+    # the record ``kind`` from a document of numbers: every field without a
+    # default, and each field with one that the document holds
+    return kind(**{f.name: _number(doc[f.name], f.name) for f in fields(kind)
+                   if f.default is MISSING or f.name in doc})
 
 
 @dataclass(frozen=True)
@@ -124,15 +131,11 @@ class RegistrationProblem:
         Missing fields raise KeyError, malformed ones TypeError or
         ValueError; a bool or a string is not a number here.
         """
-        def from_numbers(kind, sub: dict):
-            return kind(**{f.name: _number(sub[f.name], f.name) for f in fields(kind)})
-
-        weights = doc["weights"]
         return cls(
             relative_bias=np.array([_number(v, "relative_bias") for v in doc["relative_bias"]]),
-            geom1=from_numbers(SensorGeometry, doc["sensor1"]),
-            geom2=from_numbers(SensorGeometry, doc["sensor2"]),
-            weights=from_numbers(BiasCostWeights, weights),
+            geom1=_from_numbers(SensorGeometry, doc["sensor1"]),
+            geom2=_from_numbers(SensorGeometry, doc["sensor2"]),
+            weights=_from_numbers(BiasCostWeights, doc["weights"]),
         )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import registration, steady_state
 from .coords import SphericalTriple
 from .errors import InvalidGains, NonFiniteCovariance
-from .registration import _number
+from .registration import _from_numbers, _number
 
 #: version of the noise-stream layout, recorded in every ``simulate`` report
 STREAM_VERSION = 2
@@ -58,6 +58,8 @@ class SimScenario:
             raise ValueError("n_runs and n_steps must be at least 1")
         if self.burn_in is not None and not 0 <= self.burn_in < self.n_steps:
             raise ValueError("burn_in must lie in [0, n_steps)")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
 
     @property
     def effective_burn_in(self) -> int:
@@ -67,17 +69,9 @@ class SimScenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimScenario":
-        cfg = doc["config"]
         return cls(
-            config=steady_state.SteadyStateConfig(
-                period=_number(cfg["period"], "period"),
-                meas_var=_number(cfg["meas_var"], "meas_var"),
-                process_var=_number(cfg["process_var"], "process_var"),
-                bias_var=_number(cfg.get("bias_var", 0.0), "bias_var"),
-                rho=None if cfg.get("rho") is None else _number(cfg["rho"], "rho"),
-            ),
-            gains=steady_state.SteadyStateGains(
-                **{name: _number(doc["gains"][name], name) for name in ("alpha", "beta")}),
+            config=_from_numbers(steady_state.SteadyStateConfig, doc["config"]),
+            gains=_from_numbers(steady_state.SteadyStateGains, doc["gains"]),
             n_runs=_whole(doc["n_runs"], "n_runs"),
             n_steps=_whole(doc["n_steps"], "n_steps"),
             master_seed=_whole(doc["master_seed"], "master_seed"),

@@ -28,7 +28,6 @@ GAIN_SWEEP_HEADER = ("rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "
                      "excluded_root")
 
 _ZERO_TOL = 1e-12
-_RHO_CONSISTENCY_RTOL = 1e-9
 
 # the additive scalar bias u(x, lam) = lam of every filter model, in module-level
 # functions so that models pickle; its Jacobians are read-only, so returning
@@ -63,42 +62,23 @@ def _points(*values):
 class SteadyStateConfig:
     """Noise levels of the steady-state tracking problem.
 
-    ``rho`` is the dimensionless ratio process_var * period^2 / meas_var;
-    give it explicitly only if it matches the other fields (checked to
-    1e-9 relative). With meas_var 0 the ratio is taken as given (or 0).
+    All four are finite, the period positive with a finite nonzero square
+    and the variances nonnegative. The noise ratio rho = process_var *
+    period^2 / meas_var follows from them; ``from_rho`` builds a config from it.
     """
 
     period: float
     meas_var: float
     process_var: float
     bias_var: float = 0.0
-    rho: float | None = None
 
     def __post_init__(self):
-        numbers = (self.period, self.meas_var, self.process_var, self.bias_var,
-                   0.0 if self.rho is None else self.rho)
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError("period, variances and rho must be finite")
-        if not (self.period > 0 and self.period * self.period > 0):
-            raise ValueError(f"period {self.period} must be positive with a nonzero square")
+        if not all(map(math.isfinite, self.__dict__.values())):
+            raise ValueError("period and variances must be finite")
+        if not (self.period > 0 and 0 < self.period * self.period < math.inf):
+            raise ValueError(f"period {self.period} must be positive with a finite nonzero square")
         if self.meas_var < 0 or self.process_var < 0 or self.bias_var < 0:
             raise ValueError("variances must be nonnegative")
-        if self.meas_var == 0:
-            derived = 0.0 if self.process_var == 0 else None
-        else:
-            derived = self.process_var * (self.period * self.period) / self.meas_var
-            # inf * 0 is nan, which no tolerance comparison below would catch
-            if not math.isfinite(derived):
-                raise ValueError(f"process_var*period^2/meas_var = {derived} is not finite")
-        if self.rho is None:
-            if derived is None:
-                raise ValueError("rho is required when meas_var is 0 and process_var > 0")
-            object.__setattr__(self, "rho", derived)
-        elif derived is not None:
-            if abs(self.rho - derived) > _RHO_CONSISTENCY_RTOL * max(abs(derived), 1.0):
-                raise ValueError(
-                    f"rho {self.rho} inconsistent with process_var*period^2/meas_var"
-                    f" = {derived}")
 
     @classmethod
     def from_rho(cls, rho: float, period: float = 1.0, meas_var: float = 1.0,
@@ -108,10 +88,10 @@ class SteadyStateConfig:
             raise ValueError("rho must be nonnegative")
         if not period * period > 0:
             raise ValueError(f"period^2 = {period * period} must be positive")
-        return cls(period=period, meas_var=meas_var, bias_var=bias_var, rho=rho,
+        return cls(period=period, meas_var=meas_var, bias_var=bias_var,
                    process_var=rho * meas_var / (period * period))
 
-    def to_filter_model(self, bias_mean: float = 0.0) -> filter_core.BiasFilterModel:
+    def to_filter_model(self) -> filter_core.BiasFilterModel:
         """The equivalent two-state bias filter model (scalar additive bias)."""
         return filter_core.BiasFilterModel(
             transition=_transition(self.period),
@@ -120,7 +100,7 @@ class SteadyStateConfig:
             process_noise=np.array([[0.0, 0.0], [0.0, self.process_var]]),
             meas_noise=np.array([[self.meas_var]]),
             bias_cov=np.array([[self.bias_var]]),
-            bias_mean=np.array([bias_mean]),
+            bias_mean=np.zeros(1),
             bias_fn=_additive_bias,
             bias_jac_state=_additive_bias_jac_state,
             bias_jac_bias=_additive_bias_jac_bias,

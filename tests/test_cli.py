@@ -24,8 +24,7 @@ def example_config(name="a"):
 
 def scenario_doc(n_runs=200, n_steps=40, master_seed=5):
     return {
-        "config": {"period": 1.0, "meas_var": 1.0, "process_var": 2.0,
-                   "bias_var": 4.0, "rho": 2.0},
+        "config": {"period": 1.0, "meas_var": 1.0, "process_var": 2.0, "bias_var": 4.0},
         "gains": {"alpha": 0.2, "beta": 0.04385},
         "n_runs": n_runs, "n_steps": n_steps, "master_seed": master_seed, "burn_in": None,
     }
@@ -332,6 +331,31 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--config", config_file(tmp_path, {"config": {}}))
         assert code == 3
 
+    @pytest.mark.parametrize("override", [False, True])
+    def test_negative_seed_exit_three(self, tmp_path, capsys, override):
+        # numpy's SeedSequence once rejected it with a message naming no field
+        doc = scenario_doc(master_seed=5 if override else -1)
+        seed = ["--seed", "-1"] if override else []
+        assert run(capsys, "simulate", "--config", config_file(tmp_path, doc), *seed) == (
+            3, "", "error: bad scenario document: master_seed must be nonnegative, got -1\n")
+
+    def test_zero_measurement_noise_runs(self, tmp_path, capsys):
+        # the ratio process_var * period^2 / meas_var has no value here; nothing needs it
+        doc = scenario_doc(n_runs=50, n_steps=20)
+        doc["config"]["meas_var"] = 0.0
+        code, out, _ = run(capsys, "simulate", "--config", config_file(tmp_path, doc),
+                           "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 5
+
+    @pytest.mark.parametrize("rho", [3.0, "2"])
+    def test_rho_key_is_ignored(self, tmp_path, capsys, rho):
+        # the ratio follows from the noise levels; an inconsistent or string rho once exited 3
+        plain, with_rho = scenario_doc(n_runs=20, n_steps=4), scenario_doc(n_runs=20, n_steps=4)
+        with_rho["config"]["rho"] = rho
+        outputs = [run(capsys, "simulate", "--config", config_file(tmp_path, doc), "--format",
+                       "csv") for doc in (plain, with_rho)]
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
 
 class TestTransform:
     def test_identity_pair(self, capsys):
@@ -506,6 +530,11 @@ class TestNonFinite:
          "--site1", "0,0", "--site2", "0.1,0", "--r-ee", "nan", "--format", "csv"],
         ["gains", "--rho", "2", "--alpha", "0.2", "--period", "1e200", "--meas-var", "1e-200"],
         ["gains", "--rho", "2", "--alpha", "0.2", "--period", "1e-200"],
+        # a point whose root fails once hid these flags behind a domain error, exit 2
+        ["gains", "--rho", "2", "--alpha", "2.5", "--bias-var", "nan"],
+        ["gains", "--rho", "2", "--alpha", "2.5", "--period", "nan"],
+        ["gains", "--rho", "2", "--alpha", "2.5", "--meas-var", "inf"],
+        ["gains", "--rho", "2", "--alpha", "2.5", "--period", "1e200", "--meas-var", "1e-200"],
     ])
     def test_cli_numbers(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
@@ -547,7 +576,8 @@ def with_value(doc, keys, value):
      "scenario document: period must be a number, got '1.0'"),
     ("simulate", ("gains", "alpha"), True,
      "scenario document: alpha must be a number, got True"),
-    ("simulate", ("config", "rho"), "2", "scenario document: rho must be a number, got '2'"),
+    ("simulate", ("config", "bias_var"), "4",
+     "scenario document: bias_var must be a number, got '4'"),
     ("register", ("relative_bias", 0), True,
      "registration document: relative_bias must be a number, got True"),
     ("register", ("weights", "k_theta2_sq"), "5e9",

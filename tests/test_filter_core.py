@@ -14,9 +14,10 @@ import oracles
 
 def cv_model(period=1.0, meas_var=1.0, process_var=2.0, bias_var=4.0,
              bias_mean=0.0):
-    return ss.SteadyStateConfig(
+    model = ss.SteadyStateConfig(
         period=period, meas_var=meas_var, process_var=process_var,
-        bias_var=bias_var).to_filter_model(bias_mean=bias_mean)
+        bias_var=bias_var).to_filter_model()
+    return replace(model, bias_mean=np.array([bias_mean]))
 
 
 def unbiased_model(period=1.0, meas_var=1.0, process_var=2.0):

@@ -87,8 +87,8 @@ def _scalar_chain_error(rho, alpha, noise):
 
 
 _NOISE = dict(period=0.5, meas_var=2.0, bias_var=3.0)
-#: rho^2 * meas_var / period^2 is nan here, so every row's config fails
-_NAN_RATIO_NOISE = dict(period=1e200, meas_var=1e-200)
+#: period^2 overflows here, so every row's config fails
+_OVERFLOWING_PERIOD_NOISE = dict(period=1e200, meas_var=1e-200)
 
 
 @settings(max_examples=300, deadline=None)
@@ -99,13 +99,13 @@ _NAN_RATIO_NOISE = dict(period=1e200, meas_var=1e-200)
        alphas=st.lists(st.one_of(st.floats(min_value=0.05, max_value=1.9),
                                  st.floats(min_value=2.0, max_value=10.0), st.just(2e-6)),
                        min_size=1, max_size=4),
-       noise=st.sampled_from([_NOISE, _NAN_RATIO_NOISE]))
+       noise=st.sampled_from([_NOISE, _OVERFLOWING_PERIOD_NOISE]))
 @example(rhos=[2.0], alphas=[0.5, 2.5, 3.0], noise=_NOISE)
 @example(rhos=[2.0, 0.0], alphas=[0.5, 2.5], noise=_NOISE)
 @example(rhos=[1e3], alphas=[0.3, 2e-6], noise=_NOISE)
 @example(rhos=[2.0, MAX_FLOAT], alphas=[0.5, 1.0], noise=_NOISE)
-@example(rhos=[2.0], alphas=[0.2], noise=_NAN_RATIO_NOISE)
-@example(rhos=[2.0], alphas=[2.5, 0.2], noise=_NAN_RATIO_NOISE)
+@example(rhos=[2.0], alphas=[0.2], noise=_OVERFLOWING_PERIOD_NOISE)
+@example(rhos=[2.0], alphas=[2.5, 0.2], noise=_OVERFLOWING_PERIOD_NOISE)
 def test_gain_table_raises_the_scalar_chain_error_of_the_first_failing_point(rhos, alphas,
                                                                            noise):
     """gain_table fails exactly when a grid point fails the scalar functions, with the
@@ -119,6 +119,23 @@ def test_gain_table_raises_the_scalar_chain_error_of_the_first_failing_point(rho
     with pytest.raises(ValueError) as info:
         ss.gain_table(rhos, alphas, **noise)
     assert type(info.value) is type(first) and str(info.value) == str(first)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho=st.floats(min_value=1e-100, max_value=1e100),
+       period=st.floats(min_value=1e-50, max_value=1e50),
+       meas_var=st.floats(min_value=1e-100, max_value=1e100))
+@example(rho=1e-100, period=1e50, meas_var=1e-100)
+@example(rho=1e100, period=1e-50, meas_var=1e100)
+def test_from_rho_process_noise_gives_back_the_ratio(rho, period, meas_var):
+    """process_var * period^2 / meas_var is rho again, to four roundings.
+
+    Over these ranges no intermediate value is subnormal or overflows: the
+    process noise lies in [1e-300, 1e300] and period^2 is formed the same
+    way both times, so only the two products and two quotients round.
+    """
+    cfg = ss.SteadyStateConfig.from_rho(rho, period=period, meas_var=meas_var)
+    assert cfg.process_var * (period * period) / meas_var == pytest.approx(rho, rel=5e-16)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

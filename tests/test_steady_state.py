@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -223,28 +225,29 @@ class TestConfig:
     def test_from_rho_round_trip(self):
         cfg = ss.SteadyStateConfig.from_rho(2.0, period=0.5, meas_var=4.0)
         assert cfg.process_var == pytest.approx(2.0 * 4.0 / 0.25)
-        assert cfg.rho == pytest.approx(2.0)
-
-    def test_inconsistent_rho_rejected(self):
-        with pytest.raises(ValueError):
-            ss.SteadyStateConfig(period=1.0, meas_var=1.0, process_var=2.0, rho=3.0)
-
-    def test_derived_rho(self):
-        cfg = ss.SteadyStateConfig(period=2.0, meas_var=4.0, process_var=3.0)
-        assert cfg.rho == pytest.approx(3.0 * 4.0 / 4.0)
 
     def test_noiseless_config_allowed(self):
-        cfg = ss.SteadyStateConfig(period=1.0, meas_var=0.0, process_var=0.0)
-        assert cfg.rho == 0.0
+        ss.SteadyStateConfig(period=1.0, meas_var=0.0, process_var=0.0)
+
+    def test_fields_are_the_noise_levels(self):
+        assert [f.name for f in fields(ss.SteadyStateConfig)] == [
+            "period", "meas_var", "process_var", "bias_var"]
 
     def test_invalid_period(self):
         with pytest.raises(ValueError):
             ss.SteadyStateConfig(period=0.0, meas_var=1.0, process_var=1.0)
 
-    @pytest.mark.parametrize("field", ["period", "meas_var", "process_var", "bias_var", "rho"])
+    @pytest.mark.parametrize("period", [1e200, 1e-170])
+    def test_period_square_out_of_range(self, period):
+        # the square overflows or underflows a double, which the closed forms divide by
+        with pytest.raises(ValueError) as info:
+            ss.SteadyStateConfig(period=period, meas_var=1.0, process_var=1.0)
+        assert str(info.value).startswith(f"period {period} must be positive")
+
+    @pytest.mark.parametrize("field", ["period", "meas_var", "process_var", "bias_var"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_rejected(self, field, bad):
-        kwargs = dict(period=1.0, meas_var=1.0, process_var=2.0, bias_var=4.0, rho=2.0)
+        kwargs = dict(period=1.0, meas_var=1.0, process_var=2.0, bias_var=4.0)
         kwargs[field] = bad
         with pytest.raises(ValueError, match="finite"):
             ss.SteadyStateConfig(**kwargs)
@@ -316,8 +319,8 @@ class TestGainTable:
             ss.gain_table([2.0, 0.0], [0.5, 2.5])
 
     def test_config_error_after_root_checks(self):
-        with pytest.raises(ValueError, match=r"^process_var\*period\^2/meas_var = nan "
-                                             r"is not finite$"):
+        with pytest.raises(ValueError, match=r"^period 1e\+200 must be positive with a finite "
+                                             r"nonzero square$"):
             ss.gain_table([2.0], [0.2], period=1e200, meas_var=1e-200)
         # a point whose root fails is reported before the row's config error
         with pytest.raises(NoValidRoot):
