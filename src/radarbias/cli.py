@@ -84,12 +84,9 @@ def _from_doc(factory, doc: dict, what: str):
 
 def _solution_record(sol: registration.RegistrationSolution) -> dict:
     return {
-        "bias1": {"range_m": _fmt(sol.bias1.range_m),
-                  "azimuth_rad": _fmt(sol.bias1.azimuth),
-                  "elevation_rad": _fmt(sol.bias1.elevation)},
-        "bias2": {"range_m": _fmt(sol.bias2.range_m),
-                  "azimuth_rad": _fmt(sol.bias2.azimuth),
-                  "elevation_rad": _fmt(sol.bias2.elevation)},
+        **{name: {"range_m": _fmt(bias.range_m), "azimuth_rad": _fmt(bias.azimuth),
+                  "elevation_rad": _fmt(bias.elevation)}
+           for name, bias in (("bias1", sol.bias1), ("bias2", sol.bias2))},
         "cost": _fmt(sol.cost),
         "objective": _fmt(sol.objective),
         "multipliers": [_fmt(a) for a in sol.multipliers],
@@ -324,13 +321,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except ValueError as exc:
+        # a DomainError is exit 2; ConfigErrors and the residual ValueErrors
+        # (bad earth model, ...) are input validation, exit 3
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ValueError) as exc:
-        # residual ValueErrors are input validation (bad earth model, ...)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, DomainError) else 3
 
 
 if __name__ == "__main__":

@@ -18,16 +18,18 @@ operations (``optimal_gain``, ``measurement_update``) act on a predicted
 state. The bias function and its Jacobians are evaluated at the predicted
 estimate and the mean bias.
 
-State-free terms are kept on the model, outside its fields (so equality,
-``repr``, copies and pickles do not see them), and its arrays are read-only
-copies, so they cannot go stale. While both Jacobians return the values
-(dtype, shape, bytes) of the model's last call, He = H + W J_x,
-Ne = N + W J_b Lambda (W J_b)', W J_b and Lambda (W J_b)' are reused.
-Every measurement update also reuses I - K He, (I - K H) Q (I - K H)',
-K N K', K W J_b and K Ne K' while its gain has the bytes of the last
-update's gain and the measurement terms were reused: a fixed gain hits,
-an optimal gain, which changes each step, forms them afresh. A miss runs
-the same products, so the outputs are the same to the bit.
+The public functions wrap private helpers on a state's arrays, so ``step``
+forms no predicted FilterState. State-free terms are kept on the model,
+outside its fields (so equality, ``repr``, copies and pickles do not see
+them), and its arrays are read-only copies, so they cannot go stale. The
+model keeps Phi'. While both Jacobians return the values (dtype, shape,
+bytes) of the model's last call, He = H + W J_x, He', W J_b,
+Ne = N + W J_b Lambda (W J_b)' and Lambda (W J_b)' are reused. Every
+measurement update also reuses L_e = I - K He, L_e', K', K N K', K W J_b,
+K Ne K' and (I - K H) Q (I - K H)' while its gain has the bytes of the
+last update's gain and the measurement terms were reused: a fixed gain
+hits, an optimal gain, which changes each step, forms them afresh. A miss
+runs the same products, so the outputs are the same to the bit.
 
 The gain equation is solved directly for a scalar measurement (q = 1):
 the 1 x 1 bracket is accepted when it is finite and nonzero, which is
@@ -56,11 +58,11 @@ _GAIN_COND_LIMIT = 1e12
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    # floating-point drift control for covariance updates; halving the sum
-    # in place rounds as 0.5 * (a + a.T) does
-    b = a + a.T
-    b *= 0.5
-    return b
+    # floating-point drift control, in place on a temporary; it rounds as
+    # 0.5 * (a + a.T) does, and the copy avoids a slower mixed-stride add
+    a += a.T.copy()
+    a *= 0.5
+    return a
 
 
 @dataclass(frozen=True)
@@ -87,21 +89,16 @@ class BiasFilterModel:
     bias_jac_bias: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        names = [f.name for f in fields(self)[:7]]
-        for name in names:
-            # a read-only copy: the caller's array stays writable
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
         n, q, m, p = self.dims
         wants = ((n, n), (q, n), (q, m), (n, n), (q, q), (p, p), (p,))
-        for name, want in zip(names, wants):
-            arr = getattr(self, name)
+        for f, want in zip(fields(self)[:7], wants):
+            # a read-only copy: the caller's array stays writable
+            arr = np.array(getattr(self, f.name), dtype=float)
             if arr.shape != want:
-                raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {want}")
-        eye = np.eye(n)
-        eye.flags.writeable = False
-        vars(self)["_eye"] = eye
+                raise DimensionMismatch(f"{f.name} has shape {arr.shape}, expected {want}")
+            arr.flags.writeable = False
+            object.__setattr__(self, f.name, arr)
+        vars(self).update(_eye=np.eye(n), _phi_t=self.transition.T)
 
     def __getstate__(self):
         # the kept terms are derived: a copy or unpickled model forms them again
@@ -147,9 +144,23 @@ class FilterState:
         if x.shape != (n,):
             raise DimensionMismatch(f"x0 has shape {x.shape}, expected {(n,)}")
         m_cov = np.eye(n) * 1e6 if noise_cov is None else _symmetrize(
-            np.asarray(noise_cov, dtype=float))
-        return cls(x=x, noise_cov=m_cov, bias_sens=np.zeros((n, p)),
-                   total_cov=m_cov.copy())
+            np.array(noise_cov, dtype=float))
+        return cls(x=x, noise_cov=m_cov, bias_sens=np.zeros((n, p)), total_cov=m_cov.copy())
+
+
+def _state(x, m_cov, d, s_cov, gain=None) -> FilterState:
+    # a FilterState at half the cost of the frozen __init__; it holds only its fields
+    state = object.__new__(FilterState)
+    vars(state).update(x=x, noise_cov=m_cov, bias_sens=d, total_cov=s_cov, gain=gain)
+    return state
+
+
+def _predict(model: BiasFilterModel, state: FilterState):
+    # the predicted x, M, D and S of a posterior state, as arrays
+    phi, phi_t = model.transition, vars(model)["_phi_t"]
+    m_cov = _symmetrize(phi.dot(state.noise_cov).dot(phi_t) + model.process_noise)
+    d = phi.dot(state.bias_sens)
+    return phi.dot(state.x), m_cov, d, _symmetrize(m_cov + d.dot(model.bias_cov).dot(d.T))
 
 
 def time_update(model: BiasFilterModel, state: FilterState) -> FilterState:
@@ -158,19 +169,14 @@ def time_update(model: BiasFilterModel, state: FilterState) -> FilterState:
     x <- Phi x, M <- Phi M Phi' + Q, D <- Phi D, and the predicted total
     covariance S = M + D Lambda D' (with the propagated D).
     """
-    phi = model.transition
-    x = phi.dot(state.x)
-    m_cov = _symmetrize(phi.dot(state.noise_cov).dot(phi.T) + model.process_noise)
-    d = phi.dot(state.bias_sens)
-    s_cov = _symmetrize(m_cov + d.dot(model.bias_cov).dot(d.T))
-    return FilterState(x=x, noise_cov=m_cov, bias_sens=d, total_cov=s_cov)
+    return _state(*_predict(model, state))
 
 
-def _measurement_pieces(model: BiasFilterModel, state: FilterState):
+def _pieces(model: BiasFilterModel, x, d):
     # evaluated once per predicted state; shared by gain and update. The
     # state-free terms are kept on the model while the Jacobians repeat.
-    jac_bias = np.atleast_2d(model.bias_jac_bias(state.x, model.bias_mean))
-    jac_state = np.atleast_2d(model.bias_jac_state(state.x, model.bias_mean))
+    jac_bias = np.array(model.bias_jac_bias(x, model.bias_mean), ndmin=2)
+    jac_state = np.array(model.bias_jac_state(x, model.bias_mean), ndmin=2)
     key = (jac_bias.dtype, jac_bias.shape, jac_bias.tobytes(),
            jac_state.dtype, jac_state.shape, jac_state.tobytes())
     kept = vars(model).get("_pieces")
@@ -179,9 +185,9 @@ def _measurement_pieces(model: BiasFilterModel, state: FilterState):
         output_eff = model.output + model.bias_matrix.dot(jac_state)  # H + W du/dx
         lam_wjb_t = model.bias_cov.dot(w_jb.T)                      # Lambda (W J_b)'
         noise_eff = model.meas_noise + w_jb.dot(lam_wjb_t)
-        kept = vars(model)["_pieces"] = (key, (output_eff, noise_eff, w_jb, lam_wjb_t))
+        kept = vars(model)["_pieces"] = (key, (output_eff, noise_eff, w_jb, lam_wjb_t, output_eff.T))
     terms = kept[1]
-    return terms, state.bias_sens.dot(terms[3])                     # cross C: n x q
+    return terms, d.dot(terms[3])                                   # cross C: n x q
 
 
 def optimal_gain(model: BiasFilterModel, state: FilterState) -> np.ndarray:
@@ -196,12 +202,12 @@ def optimal_gain(model: BiasFilterModel, state: FilterState) -> np.ndarray:
     classical gain S H' (H S H' + N)^-1. Raises SingularInnovation when
     the bracket is not finite or is numerically singular.
     """
-    return _optimal_gain(state, _measurement_pieces(model, state))
+    return _optimal_gain(state.total_cov, _pieces(model, state.x, state.bias_sens))
 
 
-def _optimal_gain(state: FilterState, pieces) -> np.ndarray:
-    (output_eff, noise_eff, _, _), cross = pieces
-    rhs = state.total_cov.dot(output_eff.T) + cross             # S He' + C
+def _optimal_gain(s_cov, pieces) -> np.ndarray:
+    (output_eff, noise_eff, _, _, output_eff_t), cross = pieces
+    rhs = s_cov.dot(output_eff_t) + cross                       # S He' + C
     # He rhs = He S He' + He C, so the bracket adds Ne and (He C)'
     bracket = output_eff.dot(rhs) + noise_eff + output_eff.dot(cross).T
     if bracket.shape == (1, 1):
@@ -232,8 +238,9 @@ def measurement_update(model: BiasFilterModel, state: FilterState,
     """
     if state.gain is None:
         raise ValueError("predicted state carries no gain; set state.gain first")
-    return _measurement_update(model, state, state.gain, z,
-                               _measurement_pieces(model, state))
+    x, d = state.x, state.bias_sens
+    return _measurement_update(model, x, state.noise_cov, d, state.total_cov, state.gain,
+                               z, _pieces(model, x, d))
 
 
 def _gain_terms(model: BiasFilterModel, k_gain: np.ndarray, terms):
@@ -242,43 +249,42 @@ def _gain_terms(model: BiasFilterModel, k_gain: np.ndarray, terms):
     key = k_gain.tobytes()
     kept = vars(model).get("_gain")
     if kept is None or kept[0] != key or kept[1] is not terms:
-        output_eff, noise_eff, w_jb, _ = terms
+        output_eff, noise_eff, w_jb, _, _ = terms
         eye, k_t = vars(model)["_eye"], k_gain.T
         l_classic = eye - k_gain.dot(model.output)             # I - K H
         l_eff = eye - k_gain.dot(output_eff)                   # I - K (H + W du/dx)
         kept = vars(model)["_gain"] = (key, terms, (
-            l_eff, l_classic.dot(model.process_noise).dot(l_classic.T),
+            l_eff, l_eff.T, k_t, l_classic.dot(model.process_noise).dot(l_classic.T),
             k_gain.dot(model.meas_noise).dot(k_t), k_gain.dot(w_jb),
             k_gain.dot(noise_eff).dot(k_t)))
     return kept[2]
 
 
-def _measurement_update(model: BiasFilterModel, state: FilterState, gain, z,
+def _measurement_update(model: BiasFilterModel, x, m_cov, d, s_cov, gain, z,
                         pieces) -> FilterState:
-    # the update with ``gain``, which the returned state carries
-    k_gain = np.atleast_2d(np.asarray(gain, dtype=float))
+    # the update of a prediction's arrays with ``gain``, which the result carries
+    k_gain = np.array(gain, dtype=float, ndmin=2)      # a copy: the kept K' views it
     q, n = model.output.shape
     if k_gain.shape != (n, q):
         raise DimensionMismatch(f"gain has shape {k_gain.shape}, expected {(n, q)}")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.array(z, dtype=float, ndmin=1)
     if z.shape != (q,):
         raise DimensionMismatch(f"measurement has shape {z.shape}, expected {(q,)}")
 
     terms, cross = pieces
-    predicted_meas = model.output.dot(state.x) + model.bias_matrix.dot(np.atleast_1d(
-        model.bias_fn(state.x, model.bias_mean)))
-    x = state.x + k_gain.dot(z - predicted_meas)
-    l_eff, lql_t, knk_t, k_wjb, k_ne_k_t = _gain_terms(model, k_gain, terms)
+    predicted_meas = model.output.dot(x) + model.bias_matrix.dot(np.array(
+        model.bias_fn(x, model.bias_mean), ndmin=1))
+    x = x + k_gain.dot(z - predicted_meas)
+    l_eff, l_eff_t, k_t, lql_t, knk_t, k_wjb, k_ne_k_t = _gain_terms(model, k_gain, terms)
 
     # M next: the Q term propagates through I - K H (the bias function sees
     # the noise-free prediction), the rest through the effective closure.
     m_cov = _symmetrize(
-        l_eff.dot(state.noise_cov - model.process_noise).dot(l_eff.T) + lql_t + knk_t)
-    d = l_eff.dot(state.bias_sens) - k_wjb
-    t_cross = l_eff.dot(cross).dot(k_gain.T)                   # L_e C K'
+        l_eff.dot(m_cov - model.process_noise).dot(l_eff_t) + lql_t + knk_t)
+    t_cross = l_eff.dot(cross).dot(k_t)                        # L_e C K'
     s_cov = _symmetrize(
-        l_eff.dot(state.total_cov).dot(l_eff.T) + k_ne_k_t - t_cross - t_cross.T)
-    return FilterState(x=x, noise_cov=m_cov, bias_sens=d, total_cov=s_cov, gain=gain)
+        l_eff.dot(s_cov).dot(l_eff_t) + k_ne_k_t - t_cross - t_cross.T.copy())
+    return _state(x, m_cov, l_eff.dot(d) - k_wjb, s_cov, gain)
 
 
 def step(model: BiasFilterModel, state: FilterState, z,
@@ -290,7 +296,7 @@ def step(model: BiasFilterModel, state: FilterState, z,
     ``optimal_gain`` (or the fixed gain) and ``measurement_update``, with
     the bias function's Jacobians evaluated once.
     """
-    predicted = time_update(model, state)
-    pieces = _measurement_pieces(model, predicted)
-    gain = _optimal_gain(predicted, pieces) if gain is None else np.asarray(gain, dtype=float)
-    return _measurement_update(model, predicted, gain, z, pieces)
+    x, m_cov, d, s_cov = _predict(model, state)
+    pieces = _pieces(model, x, d)
+    gain = _optimal_gain(s_cov, pieces) if gain is None else np.asarray(gain, dtype=float)
+    return _measurement_update(model, x, m_cov, d, s_cov, gain, z, pieces)

@@ -2,12 +2,12 @@
 
 The relative bias between two radars tracking the same target is assumed
 known in the rectangular ENU frame of sensor 1. The six absolute bias
-increments (range, azimuth, elevation per sensor) are recovered by
-minimizing a weighted quadratic subject to the affine constraint that the
-difference of the two absolute biases, mapped to ENU(1), equals the given
-relative bias. The objective is quadratic and the constraint affine, so
-the first-order conditions are solved in closed form and the result is the
-global minimum.
+increments (per sensor: range, cross-azimuth cos(theta) dpsi, elevation)
+are recovered by minimizing a weighted quadratic subject to the affine
+constraint that the difference of the two absolute biases, mapped to
+ENU(1), equals the given relative bias. The objective is quadratic and the
+constraint affine, so the first-order conditions are solved in closed form
+and the result is the global minimum.
 
 Two cost figures are reported on solutions:
 
@@ -143,6 +143,7 @@ class RegistrationProblem:
 class RegistrationSolution:
     """Recovered increments plus diagnostics.
 
+    Each bias's ``azimuth`` is a cross-azimuth increment, cos(theta) dpsi;
     ``multipliers`` are the three constraint multipliers (meters);
     ``constraint_residual`` is the norm of the constraint violation in
     meters and ``kkt_residual`` the stationarity residual relative to the
@@ -194,11 +195,6 @@ def relative_bias_from_positions(p1_enu1, p2_enu1, p_1to2_enu1) -> np.ndarray:
     return p1 - base - p2
 
 
-def _weight_vector(w: BiasCostWeights) -> np.ndarray:
-    return np.array([w.k_r1_sq, w.k_psi1_sq, w.k_theta1_sq,
-                     w.k_r2_sq, w.k_psi2_sq, w.k_theta2_sq])
-
-
 def _constraint_matrix(problem: RegistrationProblem) -> np.ndarray:
     """C = [-A1, A2], so the constraint over the six increments reads C e = relative_bias."""
     a1, a2 = _a_rows(problem.geom1, "sensor 1"), _a_rows(problem.geom2, "sensor 2")
@@ -234,7 +230,7 @@ def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:
     double (multipliers below the smallest double, for instance).
     """
     c = _constraint_matrix(problem)
-    d = _weight_vector(problem.weights)
+    d = np.array([*vars(problem.weights).values()])        # the six weights, in field order
     with np.errstate(all="ignore"):
         bmat = c / np.sqrt(d)
         # LAPACK's SVD may never return on a matrix holding inf or nan

@@ -63,8 +63,8 @@ class SimScenario:
 
     @property
     def effective_burn_in(self) -> int:
-        # transient decay is governed by the closed-loop eigenvalues; half
-        # the horizon is a conservative default
+        # half the horizon, short of the transient when the largest closed-loop modulus
+        # nears 1: at alpha 0.01 (0.995) S11 then averages 38% low over 200 steps
         return self.n_steps // 2 if self.burn_in is None else self.burn_in
 
     @classmethod

@@ -88,8 +88,11 @@ class SteadyStateConfig:
             raise ValueError("rho must be nonnegative")
         if not period * period > 0:
             raise ValueError(f"period^2 = {period * period} must be positive")
-        return cls(period=period, meas_var=meas_var, bias_var=bias_var,
-                   process_var=rho * meas_var / (period * period))
+        process_var = rho * meas_var / (period * period)
+        if math.isinf(process_var):
+            raise ValueError(f"rho {rho} gives process_var = rho meas_var / period^2 = "
+                             f"{process_var}: it overflows a double")
+        return cls(period=period, meas_var=meas_var, bias_var=bias_var, process_var=process_var)
 
     def to_filter_model(self) -> filter_core.BiasFilterModel:
         """The equivalent two-state bias filter model (scalar additive bias)."""

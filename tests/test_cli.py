@@ -244,6 +244,15 @@ class TestGains:
                          "--period", "0")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [["--rho", "1e308", "--alpha", "1"],
+                                      ["--grid", "1,1e308:0.5"]])
+    def test_overflowing_process_noise_names_rho(self, capsys, argv):
+        # the point's rho meas_var / period^2 overflows: an input error naming both
+        code, out, err = run(capsys, "gains", *argv, "--meas-var", "10")
+        assert (code, out) == (3, "")
+        assert err == ("error: rho 1e+308 gives process_var = rho meas_var / period^2 = inf: "
+                       "it overflows a double\n")
+
 
 class TestSimulate:
     def test_small_scenario(self, tmp_path, capsys):

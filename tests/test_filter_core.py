@@ -358,6 +358,23 @@ class TestSteadyStateConsistency:
         assert abs(oracles.gain_polynomial(alpha, beta, rho)) < 1e-8
         assert ss.solve_beta(alpha, rho) == pytest.approx(beta, abs=1e-8)
 
+    @pytest.mark.parametrize("rho", [0.1, 2.0, 50.0])
+    def test_limits_equal_closed_forms_over_rho(self, rho):
+        # the fixed-gain limit's posterior M and predicted S are the closed
+        # forms, and the converged trace-optimal gain lies on the gain curve
+        cfg = ss.SteadyStateConfig.from_rho(rho, bias_var=4.0)
+        model = cfg.to_filter_model()
+        gains = ss.SteadyStateGains(0.2, ss.solve_beta(0.2, rho))
+        state = converged(model, np.eye(2) * 100, ss.kbar(gains, cfg.period).reshape(2, 1))
+        np.testing.assert_allclose(state.noise_cov, ss.steady_mn(gains, cfg.period, cfg.meas_var)
+                                   + ss.steady_mq(gains, cfg.period, cfg.process_var), rtol=1e-8)
+        np.testing.assert_allclose(fc.time_update(model, state).total_cov,
+                                   ss.predicted_covariances(gains, cfg).s_dot, rtol=1e-8)
+        best = converged(model, np.eye(2) * 1e6)
+        alpha, beta = float(best.gain[0, 0]), float(best.gain[1, 0]) * cfg.period
+        assert abs(oracles.gain_polynomial(alpha, beta, rho)) < 1e-8
+        assert ss.solve_beta(alpha, rho) == pytest.approx(beta, abs=1e-8)
+
     def test_converged_gain_independent_of_bias_variance(self):
         rho = 6.0
         gains = []
@@ -593,3 +610,52 @@ class TestKeptTerms:
             for name in STATE_FIELDS:
                 assert np.asarray(getattr(state, name)).tobytes() \
                     == np.asarray(getattr(other, name)).tobytes(), (k, name)
+
+
+def kept_arrays(model):
+    """The arrays of the terms kept on ``model``, outside its fields."""
+    found, todo = [], [value for name, value in vars(model).items() if name.startswith("_")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, tuple):
+            todo.extend(item)
+    return found
+
+
+class TestNoAliasing:
+    """The filter reads its inputs only and returns arrays of its own."""
+
+    def check(self, model, state, result):
+        # no returned array but the gain shares memory with the input state,
+        # the model's arrays or its kept terms
+        theirs = [np.asarray(getattr(state, name)) for name in STATE_FIELDS
+                  if getattr(state, name) is not None]
+        theirs += [getattr(model, name) for name in ARRAY_FIELDS] + kept_arrays(model)
+        assert len(kept_arrays(model)) > 2
+        for name in STATE_FIELDS[:4]:
+            for other in theirs:
+                assert not np.shares_memory(getattr(result, name), other), name
+
+    @pytest.mark.parametrize("make_model", [cv_model, state_dependent_model])
+    @pytest.mark.parametrize("fixed_gain", [None, [[0.3], [0.05]]])
+    def test_inputs_unchanged_and_outputs_not_shared(self, make_model, fixed_gain):
+        model = make_model()
+        rng = np.random.default_rng(59)
+        state = fc.FilterState.initial(model, np.array([0.2, -0.1]), noise_cov=np.eye(2))
+        for _ in range(4):
+            z = rng.normal(0.0, 1.0, 1)
+            predicted = fc.time_update(model, state)
+            gain = fc.optimal_gain(model, predicted) if fixed_gain is None else fixed_gain
+            predicted = replace(predicted, gain=np.asarray(gain, dtype=float))
+            calls = ((fc.step, state, (z, fixed_gain)), (fc.time_update, state, ()),
+                     (fc.measurement_update, predicted, (z,)))
+            for function, given, args in calls:
+                before = {name: np.array(getattr(given, name), copy=True) for name in STATE_FIELDS
+                          if getattr(given, name) is not None}
+                result = function(model, given, *args)
+                for name, value in before.items():
+                    assert getattr(given, name).tobytes() == value.tobytes(), (function, name)
+                self.check(model, given, result)
+            state = fc.step(model, state, z, gain=fixed_gain)

@@ -409,6 +409,30 @@ def test_spherical_cartesian_spherical_round_trip(range_m, azimuth, elevation):
 
 
 @settings(max_examples=300, deadline=None)
+@given(p_t=st.floats(min_value=1.0, max_value=1e6), azimuth=_ANGLE,
+       elevation=st.floats(min_value=-1.2, max_value=1.2))
+@example(p_t=2.5e4, azimuth=0.0, elevation=0.7854)
+def test_build_a_is_the_spherical_jacobian_with_cross_azimuth(p_t, azimuth, elevation):
+    """build_A is d(spherical_to_cartesian)/d(r, psi, theta) diag(1, 1/cos theta, 1).
+
+    The Jacobian comes from central differences of ``coords``; the azimuth
+    column divided by cos(theta) makes the solve's azimuth increment a
+    cross-azimuth one, cos(theta) dpsi. Columns are compared relative to
+    their scale (1 for range, p_t for the angles), to 1e-8: the
+    differences carry about 1e-10 of truncation and rounding.
+    """
+    point = np.array([p_t, azimuth, elevation])
+    steps = np.array([0.5 * p_t, 1e-5, 1e-5])     # range enters linearly
+    jac = np.column_stack([
+        (coords.spherical_to_cartesian(coords.SphericalTriple.from_array(point + h))
+         - coords.spherical_to_cartesian(coords.SphericalTriple.from_array(point - h)))
+        / (2 * h[i]) for i, h in enumerate(np.diag(steps))])
+    want = jac * np.array([1.0, 1.0 / math.cos(elevation), 1.0])
+    got = reg.build_A(reg.SensorGeometry(p_t, azimuth, elevation))
+    np.testing.assert_allclose((got - want) / np.array([1.0, p_t, p_t]), 0.0, atol=1e-8)
+
+
+@settings(max_examples=300, deadline=None)
 @given(point=_WIDE_VECTOR, azimuth=_ANGLE, elevation=_ANGLE)
 def test_enu_face_enu_round_trip(point, azimuth, elevation):
     """ENU -> face -> ENU returns the vector within 8 eps of its norm."""

@@ -244,6 +244,14 @@ class TestConfig:
             ss.SteadyStateConfig(period=period, meas_var=1.0, process_var=1.0)
         assert str(info.value).startswith(f"period {period} must be positive")
 
+    @pytest.mark.parametrize("rho, period, meas_var", [(1e308, 1.0, 10.0), (2.0, 1e-160, 1.0)])
+    def test_from_rho_names_an_overflowing_process_var(self, rho, period, meas_var):
+        # rho meas_var / period^2 overflows although all three are finite
+        with pytest.raises(ValueError) as info:
+            ss.SteadyStateConfig.from_rho(rho, period=period, meas_var=meas_var)
+        assert str(info.value) == (f"rho {rho} gives process_var = rho meas_var / period^2 "
+                                   "= inf: it overflows a double")
+
     @pytest.mark.parametrize("field", ["period", "meas_var", "process_var", "bias_var"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_rejected(self, field, bad):
