@@ -52,8 +52,11 @@ def _write_output(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv(header, formats, values: list) -> str:
@@ -61,15 +64,10 @@ def _csv(header, formats, values: list) -> str:
 
     ``formats`` holds one ``%`` format per column. The text is what
     ``csv.writer`` prints for these fields (none needs quoting, every line
-    ends in \\r\\n), formatted 512 rows at a time.
+    ends in \\r\\n).
     """
     row_format = ",".join(formats) + "\r\n"
-    block = 512 * len(formats)
-    lines = [",".join(header) + "\r\n"]
-    for start in range(0, len(values), block):
-        part = values[start:start + block]
-        lines.append(row_format * (len(part) // len(formats)) % tuple(part))
-    return "".join(lines)
+    return ",".join(header) + "\r\n" + row_format * (len(values) // len(formats)) % tuple(values)
 
 
 def _from_doc(factory, doc: dict, what: str):

@@ -66,11 +66,10 @@ class SphericalTriple:
 class GeodeticSite:
     """Sensor site given by geodetic longitude and latitude, radians.
 
-    The long-double inter-site and ECI transforms compute the site's
-    frame once per site object, for the last earth model used, and keep
-    it on the object outside the dataclass fields: equality, hashing,
-    ``repr``, ``dataclasses.asdict``/``replace`` and pickling see only
-    the longitude and latitude.
+    The long-double inter-site and ECI transforms keep the site's WGS-84
+    frame on the object, outside the dataclass fields (equality, hashing,
+    ``repr``, ``dataclasses.asdict``/``replace`` and pickling see only the
+    longitude and latitude); another earth model's frame is computed per call.
     """
 
     longitude: float

@@ -86,8 +86,8 @@ class SimReport:
     empirical_s: np.ndarray
     predicted_s: np.ndarray
     relative_errors: np.ndarray
-    n_samples: int = 0
-    wall_time_s: float = 0.0
+    n_samples: int
+    wall_time_s: float
 
 
 def stream_draws(master_seed: int, kind: int, step: int, n_runs: int,

@@ -344,9 +344,7 @@ def _gain_checks(a, b, eigenvalues=None) -> dict:
 def _definite(a, b, block, variance) -> bool:
     # a block with a vanishing denominator or an overflowed entry is not
     # definite; a zero-variance block may legitimately be zero
-    try:
-        _check_covariance(a, b, [block], block[0])
-    except (DegenerateDenominator, NonFiniteCovariance):
+    if _vanishes(block[1]) or not _finite(block[0]):
         return False
     eigs = np.linalg.eigvalsh(block[0])
     return bool(np.all(eigs > 0)) if variance > 0 else bool(np.all(eigs > -_ZERO_TOL))
@@ -390,31 +388,31 @@ def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
     """
     rho_axis = np.asarray(rhos, dtype=float).ravel()
     alpha_axis = np.asarray(alphas, dtype=float).ravel()
-    rows = np.repeat(np.arange(rho_axis.size), alpha_axis.size)   # grid row of each point
-    rho, alpha = rho_axis[rows], np.tile(alpha_axis, rho_axis.size)
-    noise = dict(period=period, meas_var=meas_var, bias_var=bias_var)
-    # the noise levels depend on rho alone: one validated config per grid
-    # row; a config's process_var is finite, so nan marks a failed row
-    process_var = np.full(rho_axis.shape, np.nan)
-    for row, value in enumerate(rho_axis.tolist()):
-        try:
-            process_var[row] = SteadyStateConfig.from_rho(value, **noise).process_var
-        except ValueError:
-            pass
+    rho, alpha = np.repeat(rho_axis, alpha_axis.size), np.tile(alpha_axis, rho_axis.size)
+    # the noise levels that do not depend on rho, checked once: if they
+    # fail, every point fails
+    try:
+        SteadyStateConfig(period, meas_var, 0.0, bias_var)
+        noise_ok = True
+    except ValueError:
+        noise_ok = False
     with np.errstate(all="ignore"):
+        # from_rho's process_var, with the same IEEE operations
+        process_var = rho * meas_var / (period * period)
         beta = _beta_root(alpha, rho)
         eigenvalues = _eigenvalues(alpha, beta)
-        (_, _, s_dot), (mn, mq) = _covariances(alpha, beta, period, meas_var,
-                                               process_var[rows], bias_var)
-        ok = np.logical_and.reduce([rho > 0, *_gain_checks(alpha, beta, eigenvalues).values(),
-                                    _finite(s_dot), ~_vanishes(mn[1]), ~_vanishes(mq[1])])
+        (_, _, s_dot), (mn, mq) = _covariances(alpha, beta, period, meas_var, process_var,
+                                               bias_var)
+        ok = noise_ok & np.logical_and.reduce(
+            [rho > 0, np.isfinite(process_var), *_gain_checks(alpha, beta, eigenvalues).values(),
+             _finite(s_dot), ~_vanishes(mn[1]), ~_vanishes(mq[1])])
         table = np.column_stack([rho, alpha, beta, *_moduli(*eigenvalues),
                                  s_dot[:, 0, 0], s_dot[:, 1, 0], excluded_root(alpha)])
     if not ok.all():
         i = int(np.argmin(ok))
         a, r = float(alpha[i]), float(rho[i])
         predicted_covariances(SteadyStateGains(a, solve_beta(a, r)),
-                              SteadyStateConfig.from_rho(r, **noise))
+                              SteadyStateConfig.from_rho(r, period, meas_var, bias_var))
         # not reached while the array and scalar code agree bit for bit
         raise DomainError(f"gain table point alpha={a}, rho={r} fails a check "
                           "that its single-point functions pass")

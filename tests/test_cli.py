@@ -620,6 +620,42 @@ def test_usage_errors_exit_three(capsys, argv):
     assert err.splitlines()[-1].startswith("radarbias")
 
 
+@pytest.mark.parametrize("command, argv, message", [
+    ("register", ["--config", "."], "cannot read .: "),
+    ("register", ["--config", "LIST"], "config document must be a JSON object\n"),
+    ("simulate", ["--config", "LIST"], "config document must be a JSON object\n"),
+    ("gains", ["--grid", "2"], "--grid expects 'RHO,RHO,...:ALPHA,ALPHA,...'\n"),
+    ("gains", ["--rho", "2", "--alpha", "0.2", "--meas-var", "0"],
+     "meas-var 0.0 must be positive\n"),
+    ("transform", ["--from", "cartesian", "--to", "spherical", "--point", "1,2"],
+     "--point must have exactly 3 entries, got 2\n"),
+])
+def test_input_errors_exit_three(tmp_path, capsys, command, argv, message):
+    argv = [config_file(tmp_path, [1, 2]) if a == "LIST" else a for a in argv]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+UNWRITABLE_ARGV = {
+    "register": ["--config", "EXAMPLE"],
+    "gains": ["--rho", "2", "--alpha", "0.2"],
+    "simulate": ["--config", "SCENARIO"],
+    "transform": ["--from", "cartesian", "--to", "spherical", "--point", "1,0,0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_ARGV))
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_exits_three(tmp_path, capsys, command, target):
+    docs = {"EXAMPLE": example_config(), "SCENARIO": scenario_doc(n_runs=20, n_steps=10)}
+    argv = [config_file(tmp_path, docs[a]) if a in docs else a for a in UNWRITABLE_ARGV[command]]
+    path = str(tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path)
+    code, out, err = run(capsys, command, *argv, "--output", path)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
 def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as info:

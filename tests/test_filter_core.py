@@ -80,6 +80,25 @@ class TestModelValidation:
         with pytest.raises(DimensionMismatch):
             fc.measurement_update(model, pred, [1.0, 2.0])
 
+    def test_initial_state_shape_checked(self):
+        with pytest.raises(DimensionMismatch, match=r"^x0 has shape \(3,\), expected \(2,\)$"):
+            fc.FilterState.initial(cv_model(), [0.0, 0.0, 0.0])
+
+    def test_measurement_update_needs_a_gain(self):
+        model = cv_model()
+        pred = fc.time_update(model, fc.FilterState.initial(model, [0.0, 0.0]))
+        with pytest.raises(ValueError, match="^predicted state carries no gain"):
+            fc.measurement_update(model, pred, [1.0])
+
+    @pytest.mark.parametrize("gain", [[[0.1, 0.1]], [0.1, 0.1, 0.1]])
+    def test_gain_shape_checked(self, gain):
+        model = cv_model()
+        pred = fc.time_update(model, fc.FilterState.initial(model, [0.0, 0.0]))
+        with pytest.raises(DimensionMismatch, match=r"^gain has shape .*, expected \(2, 1\)$"):
+            fc.measurement_update(model, replace(pred, gain=np.array(gain)), [1.0])
+        with pytest.raises(DimensionMismatch, match="^gain has shape"):
+            fc.step(model, fc.FilterState.initial(model, [0.0, 0.0]), [1.0], gain=gain)
+
 
 class TestTimeUpdate:
     def test_identity_dynamics_no_noise(self):

@@ -159,6 +159,15 @@ class TestConstraint:
                                         problem.geom2, problem.weights)
 
 
+class TestProblem:
+    @pytest.mark.parametrize("bias", [np.zeros(2), np.zeros((3, 1)), np.zeros(4)])
+    def test_relative_bias_must_be_a_3_vector(self, bias):
+        base = make_problem("a")
+        with pytest.raises(ValueError, match="^relative_bias must be a 3-vector, got shape "):
+            reg.RegistrationProblem(relative_bias=bias, geom1=base.geom1, geom2=base.geom2,
+                                    weights=base.weights)
+
+
 class TestSolve:
     @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
     def test_reference_examples(self, name):

@@ -252,6 +252,18 @@ class TestConfig:
         assert str(info.value) == (f"rho {rho} gives process_var = rho meas_var / period^2 "
                                    "= inf: it overflows a double")
 
+    @pytest.mark.parametrize("field", ["meas_var", "process_var", "bias_var"])
+    def test_negative_variance_rejected(self, field):
+        kwargs = dict(period=1.0, meas_var=1.0, process_var=2.0, bias_var=4.0)
+        kwargs[field] = -1e-300
+        with pytest.raises(ValueError, match="^variances must be nonnegative$"):
+            ss.SteadyStateConfig(**kwargs)
+
+    def test_from_rho_rejects_a_vanishing_period_square(self):
+        # 1e-200 squared underflows to zero, which process_var would divide by
+        with pytest.raises(ValueError, match=r"^period\^2 = 0\.0 must be positive$"):
+            ss.SteadyStateConfig.from_rho(2.0, period=1e-200)
+
     @pytest.mark.parametrize("field", ["period", "meas_var", "process_var", "bias_var"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_rejected(self, field, bad):
