@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 domain error (a ``DomainError``: singular
 geometry or system, no valid gain root, invalid gains, overflowing
 covariance or transform result), 3 input error (malformed or
-schema-violating config, unknown frame pair, command-line usage). Numbers
-are printed with six significant digits; compare with tolerances.
+schema-violating config, unknown frame pair, command-line usage, an
+unwritable output path, a run too large to allocate). Numbers are printed
+with six significant digits; compare with tolerances.
 """
 
 from __future__ import annotations
@@ -80,8 +81,11 @@ def _from_doc(factory, doc: dict, what: str):
         raise ConfigError(f"bad {what} document: {exc}") from exc
 
 
-def _solution_record(sol: registration.RegistrationSolution) -> dict:
-    return {
+def cmd_register(args) -> str:
+    problem = _from_doc(registration.RegistrationProblem.from_dict,
+                        _load_json(args.config), "registration")
+    sol = registration.solve_absolute_bias(problem)
+    record = {
         **{name: {"range_m": _fmt(bias.range_m), "azimuth_rad": _fmt(bias.azimuth),
                   "elevation_rad": _fmt(bias.elevation)}
            for name, bias in (("bias1", sol.bias1), ("bias2", sol.bias2))},
@@ -91,24 +95,15 @@ def _solution_record(sol: registration.RegistrationSolution) -> dict:
         "constraint_residual_m": _fmt(sol.constraint_residual),
         "kkt_residual": _fmt(sol.kkt_residual),
     }
-
-
-def cmd_register(args) -> int:
-    problem = _from_doc(registration.RegistrationProblem.from_dict,
-                        _load_json(args.config), "registration")
-    record = _solution_record(registration.solve_absolute_bias(problem))
     if args.format == "json":
-        text = json.dumps(record, indent=2, allow_nan=False)
-    else:
-        # the record's values in order; a value rounded by _fmt prints the same at %.6g
-        values = [*record["bias1"].values(), *record["bias2"].values(), record["cost"],
-                  record["objective"], *record["multipliers"],
-                  record["constraint_residual_m"], record["kkt_residual"]]
-        text = _csv(["dr1_m", "dpsi1_rad", "dtheta1_rad", "dr2_m", "dpsi2_rad", "dtheta2_rad",
-                     "cost", "objective", "a1_m", "a2_m", "a3_m",
-                     "constraint_residual_m", "kkt_residual"], ["%.6g"] * 13, values)
-    _write_output(text, args.output)
-    return 0
+        return json.dumps(record, indent=2, allow_nan=False)
+    # the record's values in order; a value rounded by _fmt prints the same at %.6g
+    values = [*record["bias1"].values(), *record["bias2"].values(), record["cost"],
+              record["objective"], *record["multipliers"],
+              record["constraint_residual_m"], record["kkt_residual"]]
+    return _csv(["dr1_m", "dpsi1_rad", "dtheta1_rad", "dr2_m", "dpsi2_rad", "dtheta2_rad",
+                 "cost", "objective", "a1_m", "a2_m", "a3_m",
+                 "constraint_residual_m", "kkt_residual"], ["%.6g"] * 13, values)
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -123,7 +118,7 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return values
 
 
-def cmd_gains(args) -> int:
+def cmd_gains(args) -> str:
     if args.grid:
         try:
             rho_part, alpha_part = args.grid.split(":")
@@ -144,16 +139,13 @@ def cmd_gains(args) -> int:
                                     meas_var=args.meas_var, bias_var=args.bias_var)
     columns = steady_state.GAIN_SWEEP_HEADER
     if args.format == "json":
-        text = json.dumps([dict(zip(columns, map(_fmt, row))) for row in table.tolist()],
+        return json.dumps([dict(zip(columns, map(_fmt, row))) for row in table.tolist()],
                           indent=2, allow_nan=False)
-    else:
-        # flattened by numpy: chaining the Python rows costs about a tenth of the call
-        text = _csv(columns, ["%.6g"] * len(columns), table.ravel().tolist())
-    _write_output(text, args.output)
-    return 0
+    # flattened by numpy: chaining the Python rows costs about a tenth of the call
+    return _csv(columns, ["%.6g"] * len(columns), table.ravel().tolist())
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     doc = _load_json(args.config)
     if args.seed is not None:
         doc["master_seed"] = args.seed
@@ -168,16 +160,13 @@ def cmd_simulate(args) -> int:
         # one tag per run (it seeds nothing), as the indented encoder prints them, in half its time
         tags = np.random.SeedSequence(scenario.master_seed).generate_state(scenario.n_runs)
         seeds = ",\n    ".join(map(str, tags.tolist()))
-        text = json.dumps(doc_out, indent=2, allow_nan=False).replace(
+        return json.dumps(doc_out, indent=2, allow_nan=False).replace(
             '"run_seeds": []', '"run_seeds": [\n    ' + seeds + "\n  ]", 1)
-    else:
-        # one row per entry of the 2x2 matrices, in row-major order
-        rows = zip(("S11", "S12", "S21", "S22"), report.empirical_s.ravel().tolist(),
-                   report.predicted_s.ravel().tolist(), report.relative_errors.ravel().tolist())
-        text = _csv(["entry", "empirical", "predicted", "relative_error"],
-                    ["%s", "%.6g", "%.6g", "%.6g"], [v for row in rows for v in row])
-    _write_output(text, args.output)
-    return 0
+    # one row per entry of the 2x2 matrices, in row-major order
+    rows = zip(("S11", "S12", "S21", "S22"), report.empirical_s.ravel().tolist(),
+               report.predicted_s.ravel().tolist(), report.relative_errors.ravel().tolist())
+    return _csv(["entry", "empirical", "predicted", "relative_error"],
+                ["%s", "%.6g", "%.6g", "%.6g"], [v for row in rows for v in row])
 
 
 _FRAMES = ("spherical", "cartesian", "enu1", "enu2", "eci", "face")
@@ -194,7 +183,7 @@ def _parse_pair(text: str | None, name: str, labels: str, needed_for: str) -> li
     return values
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> str:
     point = _parse_float_list(args.point, "point")
     if len(point) != 3:
         raise ConfigError(f"--point must have exactly 3 entries, got {len(point)}")
@@ -243,13 +232,10 @@ def cmd_transform(args) -> int:
     # six significant digits cannot carry at site-scale magnitudes
     components = (["range_m", "azimuth_rad", "elevation_rad"]
                   if dst == "spherical" else ["x_m", "y_m", "z_m"])
-    record = {"frame": dst, "point": values, "components": components}
     if args.format == "json":
-        text = json.dumps(record, indent=2, allow_nan=False)
-    else:
-        text = _csv(components, ["%r"] * 3, values)
-    _write_output(text, args.output)
-    return 0
+        return json.dumps({"frame": dst, "point": values, "components": components},
+                          indent=2, allow_nan=False)
+    return _csv(components, ["%r"] * 3, values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,10 +304,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
-        # a DomainError is exit 2; ConfigErrors and the residual ValueErrors
-        # (bad earth model, ...) are input validation, exit 3
+        _write_output(args.func(args), args.output)
+        return 0
+    except (ValueError, MemoryError) as exc:
+        # a DomainError is exit 2; ConfigErrors, the residual ValueErrors (bad
+        # earth model, ...) and a run too large to allocate are input errors, exit 3
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DomainError) else 3
 

@@ -20,13 +20,6 @@ class SingularGeometry(DomainError):
     is (near) +-pi/2, where the spherical increment map loses rank.
     """
 
-    def __init__(self, label: str, detail: str = ""):
-        self.label = label
-        msg = f"singular geometry: {label}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
 
 class SingularSystem(DomainError):
     """The bias solver's weighted constraint system cannot be solved in floating point.

@@ -162,10 +162,11 @@ class RegistrationSolution:
 def _a_rows(geom: SensorGeometry, label: str) -> tuple:
     # the three rows of A as Python floats, after the singularity checks
     if not geom.p_t >= MIN_RANGE_M:
-        raise SingularGeometry(label, f"target distance {geom.p_t} m")
+        raise SingularGeometry(f"singular geometry: {label} (target distance {geom.p_t} m)")
     c_th, s_th = math.cos(geom.elevation), math.sin(geom.elevation)
     if abs(c_th) < COS_ELEVATION_TOL:
-        raise SingularGeometry(label, f"elevation {geom.elevation} rad too close to +-pi/2")
+        raise SingularGeometry(
+            f"singular geometry: {label} (elevation {geom.elevation} rad too close to +-pi/2)")
     c_psi, s_psi = math.cos(geom.azimuth), math.sin(geom.azimuth)
     p = float(geom.p_t)
     return ((c_th * c_psi, -s_psi * p, -s_th * c_psi * p),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,9 +112,10 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     is, so each run's error (truth minus estimate) starts at zero. Each step
     predicts the error, accumulates its outer product after the burn-in, and
     corrects it by the gain times the innovation. Raises InvalidGains when
-    the gains fail validation for the scenario's noise levels, and
+    the gains fail validation for the scenario's noise levels,
     NonFiniteCovariance when the empirical covariance or its relative
-    error overflows a double.
+    error overflows a double, and MemoryError, before any draw, when the
+    run's arrays cannot be allocated.
 
     Two pool threads draw the noise up to three steps ahead into a ring of
     four steps' draws; the pool closes before this returns.
@@ -129,25 +131,25 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     scales = math.sqrt(cfg.process_var), math.sqrt(cfg.meas_var)
     n_samples = n_runs * (n_steps - burn_in)
     pred = steady_state.predicted_covariances(gains, cfg).s_dot
-
-    bias = stream_draws(seed, BIAS, 0, n_runs, math.sqrt(cfg.bias_var))
-
     gain_pos, gain_vel = steady_state.kbar(gains, period)
+
+    # the largest arrays first, so a run too large to allocate fails before any draw
     ring = np.empty((4, 2, n_runs))  # step k's process and measurement draws at k % 4
+    err_pos, err_vel = err = np.zeros((2, n_runs))
+    bias = stream_draws(seed, BIAS, 0, n_runs, math.sqrt(cfg.bias_var))
 
     def fill(k):
         for kind, scale, out in zip((PROCESS, MEASUREMENT), scales, ring[k % 4]):
             stream_draws(seed, kind, k, n_runs, scale, out=out)
-    err_pos, err_vel = err = np.zeros((2, n_runs))
     acc = np.zeros((2, 2))
     from concurrent.futures import ThreadPoolExecutor  # here: `import radarbias` loads no pool
     # an overflow is reported below as a non-finite covariance, not as a warning
     with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(2) as pool:
-        drawn = [pool.submit(fill, k) for k in range(min(3, n_steps))]
+        pending = deque(pool.submit(fill, k) for k in range(min(3, n_steps)))
         for k in range(n_steps):
-            drawn[k].result()
+            pending.popleft().result()
             if k + 3 < n_steps:  # into the slot step k - 1 has just freed
-                drawn.append(pool.submit(fill, k + 3))
+                pending.append(pool.submit(fill, k + 3))
             process, meas = ring[k % 4]
             err_pos += period * err_vel
             err_vel += process

@@ -691,7 +691,7 @@ def csv_writer_text(out):
     return buf.getvalue()
 
 
-#: 23 x 23 = 529 rows, so the CSV crosses a 512-row block
+#: 23 x 23 = 529 rows over rho 1e-3 to 1e4 and alpha 0.01 to 1.95
 GRID_23 = (",".join(map(repr, np.geomspace(1e-3, 1e4, 23).tolist())) + ":"
            + ",".join(map(repr, np.linspace(0.01, 1.95, 23).tolist())))
 GAINS_ARGV = [
