@@ -150,17 +150,15 @@ def excluded_root(alpha: float) -> float:
 
 
 def _beta_root(alpha, rho):
-    # the cubic's single real root and its Newton polish (see solve_beta),
+    # the cubic's single real root and its Newton step (see solve_beta),
     # elementwise and unchecked
     c1 = alpha * alpha - 2 * alpha + 2
     c0 = alpha * alpha * (alpha - 2)
     r = np.sqrt(rho) * np.sqrt(c1 / 6.0)
     beta = -2.0 * r * np.sinh(np.arcsinh(1.5 * c0 / (c1 * r)) / 3.0)
     scale = np.maximum(rho, 1.0)
-    for _ in range(3):
-        f = 2 * beta * beta * beta / scale + rho / scale * (c1 * beta + c0)
-        beta = beta - f / (6 * beta * beta / scale + rho / scale * c1)
-    return beta
+    f = 2 * beta * beta * beta / scale + rho / scale * (c1 * beta + c0)
+    return beta - f / (6 * beta * beta / scale + rho / scale * c1)
 
 
 def solve_beta(alpha: float, rho: float) -> float:
@@ -176,7 +174,7 @@ def solve_beta(alpha: float, rho: float) -> float:
 
     which never cubes p or q, so it holds for every positive finite rho;
     r is formed as sqrt(rho) sqrt(c1 / 6) so it does not underflow. The
-    root is polished with Newton steps on the cubic divided by
+    root is polished with one Newton step on the cubic divided by
     max(rho, 1). The rho-independent quartic root 4 - 2a is never valid.
     Raises NoValidRoot when the root fails the gain checks (reporting it),
     e.g. for alpha outside (0, 2) where the root is nonpositive.
@@ -341,13 +339,12 @@ def _gain_checks(a, b, eigenvalues=None) -> dict:
     }
 
 
-def _definite(a, b, block, variance) -> bool:
+def _definite(block, variance) -> bool:
     # a block with a vanishing denominator or an overflowed entry is not
-    # definite; a zero-variance block may legitimately be zero
+    # definite; a finite zero-variance block is exactly zero, which passes
     if _vanishes(block[1]) or not _finite(block[0]):
         return False
-    eigs = np.linalg.eigvalsh(block[0])
-    return bool(np.all(eigs > 0)) if variance > 0 else bool(np.all(eigs > -_ZERO_TOL))
+    return not variance > 0 or bool(np.all(np.linalg.eigvalsh(block[0]) > 0))
 
 
 def validate_gains(gains: SteadyStateGains, config: SteadyStateConfig) -> GainValidation:
@@ -365,9 +362,8 @@ def validate_gains(gains: SteadyStateGains, config: SteadyStateConfig) -> GainVa
         checks = {name: bool(passed) for name, passed in _gain_checks(a, b).items()}
         mn_pd = mq_pd = False
         if checks["alpha_nonzero"] and checks["beta_nonzero"] and checks["beta_not_excluded"]:
-            mn_pd = _definite(a, b, _mn_block(a, b, config.period, config.meas_var),
-                              config.meas_var)
-            mq_pd = _definite(a, b, _mq_block(a, b, config.period, config.process_var),
+            mn_pd = _definite(_mn_block(a, b, config.period, config.meas_var), config.meas_var)
+            mq_pd = _definite(_mq_block(a, b, config.period, config.process_var),
                               config.process_var)
     return GainValidation(**checks, mn_positive_definite=mn_pd,
                           mq_positive_definite=mq_pd)
@@ -404,8 +400,8 @@ def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
         (_, _, s_dot), (mn, mq) = _covariances(alpha, beta, period, meas_var, process_var,
                                                bias_var)
         ok = noise_ok & np.logical_and.reduce(
-            [rho > 0, np.isfinite(process_var), *_gain_checks(alpha, beta, eigenvalues).values(),
-             _finite(s_dot), ~_vanishes(mn[1]), ~_vanishes(mq[1])])
+            [*_gain_checks(alpha, beta, eigenvalues).values(), _finite(s_dot),
+             ~_vanishes(mn[1]), ~_vanishes(mq[1])])
         table = np.column_stack([rho, alpha, beta, *_moduli(*eigenvalues),
                                  s_dot[:, 0, 0], s_dot[:, 1, 0], excluded_root(alpha)])
     if not ok.all():

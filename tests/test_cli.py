@@ -629,6 +629,8 @@ def test_usage_errors_exit_three(capsys, argv):
      "meas-var 0.0 must be positive\n"),
     ("transform", ["--from", "cartesian", "--to", "spherical", "--point", "1,2"],
      "--point must have exactly 3 entries, got 2\n"),
+    ("transform", ["--from", "cartesian", "--to", "spherical", "--point", "1,2,3,4"],
+     "--point must have exactly 3 entries, got 4\n"),
 ])
 def test_input_errors_exit_three(tmp_path, capsys, command, argv, message):
     argv = [config_file(tmp_path, [1, 2]) if a == "LIST" else a for a in argv]
@@ -741,3 +743,14 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "0.04385" in proc.stdout
+
+
+def test_seed_zero_overrides_the_document(tmp_path, capsys):
+    outputs = []
+    for master_seed, override in ((5, ["--seed", "0"]), (0, []), (5, [])):
+        path = config_file(tmp_path, scenario_doc(n_runs=20, n_steps=10, master_seed=master_seed))
+        code, out, _ = run(capsys, "simulate", "--config", path, *override)
+        doc = json.loads(out)
+        doc.pop("wall_time_s")
+        outputs.append((code, doc))
+    assert outputs[0] == outputs[1] != outputs[2]

@@ -41,6 +41,10 @@ class TestSphericalCartesian:
         np.testing.assert_allclose(
             coords.spherical_to_cartesian(trip), [-1.0, 0.0, 0.0], atol=1e-15)
 
+    def test_azimuth_minus_pi_is_reported_as_pi(self):
+        # atan2 gives -pi for y = -0.0 behind the sensor; the documented range is (-pi, pi]
+        assert coords.cartesian_to_spherical([-1.0, -0.0, 0.0]).azimuth == math.pi
+
     def test_negative_pole_convention(self):
         trip = coords.cartesian_to_spherical([0.0, 0.0, -3.0])
         assert trip.range_m == pytest.approx(3.0)

@@ -471,6 +471,13 @@ class TestSingularInnovation:
         np.testing.assert_array_equal(
             fc.optimal_gain(self.ill_conditioned_model(1e-11), pred), np.zeros((2, 2)))
 
+    def test_condition_just_below_the_limit_is_accepted(self):
+        # bracket diag(1, 2e-12): condition 5e11, between 1e11 and 1e12
+        pred = fc.FilterState(x=np.zeros(2), noise_cov=np.zeros((2, 2)),
+                              bias_sens=np.zeros((2, 1)), total_cov=np.zeros((2, 2)))
+        np.testing.assert_array_equal(
+            fc.optimal_gain(self.ill_conditioned_model(2e-12), pred), np.zeros((2, 2)))
+
     def test_non_finite_matrix_bracket(self):
         model = self.ill_conditioned_model(np.inf)
         pred = fc.FilterState(x=np.zeros(2), noise_cov=np.eye(2), bias_sens=np.zeros((2, 1)),

@@ -432,6 +432,81 @@ def test_build_a_is_the_spherical_jacobian_with_cross_azimuth(p_t, azimuth, elev
     np.testing.assert_allclose((got - want) / np.array([1.0, p_t, p_t]), 0.0, atol=1e-8)
 
 
+#: a sensor's view of a target: 5-100 km out, |elevation| <= 1.2
+_VIEW = st.builds(reg.SensorGeometry, st.floats(min_value=5e3, max_value=1e5), _ANGLE,
+                  st.floats(min_value=-1.2, max_value=1.2))
+#: a bias of the paper's size, up to four sigma: 200 m in range, 5 mrad in the
+#: cross-azimuth and elevation increments
+_BIAS = st.tuples(st.floats(min_value=-800.0, max_value=800.0),
+                  *[st.floats(min_value=-0.02, max_value=0.02)] * 2)
+
+
+def _track(view, bias) -> np.ndarray:
+    """Where a sensor that reports its polar view less ``bias`` puts the target.
+
+    ``bias`` holds range, cross-azimuth and elevation increments; the
+    cross-azimuth one is cos(elevation) times the azimuth increment.
+    """
+    dr, cross, dtheta = bias
+    return coords.spherical_to_cartesian(coords.SphericalTriple(
+        view.p_t - dr, view.azimuth - cross / math.cos(view.elevation), view.elevation - dtheta))
+
+
+def _linear_model_miss(view, bias) -> np.ndarray:
+    """The exact polar map's bias vector minus build_A's, A d."""
+    return _track(view, (0.0,) * 3) - _track(view, bias) - reg.build_A(view) @ bias
+
+
+@settings(max_examples=300, deadline=None)
+@given(view=_VIEW, bias=_BIAS)
+@example(view=reg.SensorGeometry(5e3, 0.0, 1.2), bias=(800.0, 0.02, -0.02))
+@example(view=reg.SensorGeometry(1e5, -3.0, -1.2), bias=(0.0, 1e-4, 0.0))
+def test_linear_bias_model_misses_the_exact_map_at_second_order(view, bias):
+    """The miss of A d against the exact polar map shrinks 4x when d halves.
+
+    Beyond a 1e-4 angle increment the quadratic term exceeds 2e-5 m, far
+    above rounding, and the cubic term is a few percent of it.
+    """
+    assume(math.hypot(bias[1], bias[2]) >= 1e-4)
+    ratio = (np.linalg.norm(_linear_model_miss(view, bias))
+             / np.linalg.norm(_linear_model_miss(view, np.multiply(0.5, bias))))
+    assert 3.8 < ratio < 4.2
+
+
+@settings(max_examples=200, deadline=None)
+@given(view1=_VIEW, bias1=_BIAS, bias2=_BIAS,
+       site_offset=st.tuples(*[st.floats(min_value=-5e-3, max_value=5e-3)] * 2))
+def test_two_site_relative_bias_is_the_linear_model_at_second_order(view1, bias1, bias2,
+                                                                    site_offset):
+    """Two biased tracks of one target give A2 d2 - A1 d1 to second order.
+
+    Sensor 1 sees the target through ``view1`` from its site; sensor 2, on a
+    site up to about 30 km away, sees it in its own ENU(2) frame. Each
+    reports its view less its bias. The relative bias of the two tracks in
+    ENU(1) misses A2 d2 - A1 d1 (A2 d2 rotated from ENU(2) into ENU(1)) by
+    exactly the two sensors' own misses, each second order (above), to
+    within 1e-8 m of rounding: the site transforms add no error of their own.
+    """
+    site1 = coords.GeodeticSite(0.3, 0.6)
+    site2 = coords.GeodeticSite(0.3 + site_offset[0], 0.6 + site_offset[1])
+    target = coords.spherical_to_cartesian(coords.SphericalTriple(
+        view1.p_t, view1.azimuth, view1.elevation))
+    seen = coords.cartesian_to_spherical(np.array(
+        coords.enu1_position_to_enu2(target, site1, site2), dtype=float))
+    assume(seen.range_m >= 5e3 and abs(seen.elevation) <= 1.2)
+    view2 = reg.SensorGeometry(seen.range_m, seen.azimuth, seen.elevation)
+    baseline = np.array(coords.enu2_position_to_enu1(np.zeros(3), site1, site2), dtype=float)
+
+    def to_enu1(v):   # a vector of ENU(2) in ENU(1): the rotation alone
+        return np.array(coords.enu1_velocity_to_enu2(v, site2, site1), dtype=float)
+
+    relative_bias = reg.relative_bias_from_positions(
+        _track(view1, bias1), to_enu1(_track(view2, bias2)), baseline)
+    model = to_enu1(reg.build_A(view2) @ bias2) - reg.build_A(view1) @ bias1
+    misses = to_enu1(_linear_model_miss(view2, bias2)) - _linear_model_miss(view1, bias1)
+    np.testing.assert_allclose(relative_bias - model, misses, rtol=0.0, atol=1e-8)
+
+
 @settings(max_examples=300, deadline=None)
 @given(point=_WIDE_VECTOR, azimuth=_ANGLE, elevation=_ANGLE)
 def test_enu_face_enu_round_trip(point, azimuth, elevation):

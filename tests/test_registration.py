@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -309,3 +312,76 @@ class TestSolve:
             reg.SensorGeometry(p_t[1], 1.1, -0.5), reg.BiasCostWeights(*weights))
         with pytest.raises(SingularSystem, match=f"^{message}$"):
             reg.solve_absolute_bias(problem)
+
+    def test_overflowing_stationarity_check_raises_singular_system(self):
+        # the relative bias along both sensors' common line of sight, weights
+        # near the largest double: e and the costs are finite, but C' a
+        # overflows in the stationarity residual, so the KKT check is not finite
+        psi = theta = math.pi / 4
+        line_of_sight = [math.cos(theta) * math.cos(psi), math.cos(theta) * math.sin(psi),
+                         math.sin(theta)]
+        geom = reg.SensorGeometry(5.0, psi, theta)
+        problem = reg.RegistrationProblem(np.array(line_of_sight), geom, geom,
+                                          reg.BiasCostWeights(*[1.5e308] * 6))
+        with pytest.raises(SingularSystem, match="^solution overflows$"):
+            reg.solve_absolute_bias(problem)
+
+
+def _pair_problem(relative_bias, p_t=1.0, elevation1=0.0, weights=None):
+    """Both sensors at azimuth 0 and distance p_t; sensor 2 at elevation 0.
+
+    The default weights, 1 for range and p_t^2 for the angles, make B B' a
+    multiple of the identity, so the solve is as well conditioned as it gets.
+    """
+    angle = p_t * p_t
+    return reg.RegistrationProblem(
+        np.array(relative_bias, dtype=float), reg.SensorGeometry(p_t, 0.0, elevation1),
+        reg.SensorGeometry(p_t, 0.0, 0.0),
+        reg.BiasCostWeights(*(weights or (1.0, angle, angle) * 2)))
+
+
+class TestDocumentedLimits:
+    """Inputs on either side of each limit the README and the module document."""
+
+    def test_condition_limit_is_1e14(self):
+        # at azimuth and elevation 0, B B' = diag(2, 2, 2 / k_theta): condition k_theta
+        def weights(k_theta):
+            return (1.0, 1.0, k_theta, 1.0, 1.0, k_theta)
+        sol = reg.solve_absolute_bias(_pair_problem([1.0, 1.0, 1.0], weights=weights(3e13)))
+        assert sol.constraint_residual <= 1e-9 * np.sqrt(3.0)
+        with pytest.raises(SingularSystem, match=r"condition 3e\+14"):
+            reg.solve_absolute_bias(_pair_problem([1.0, 1.0, 1.0], weights=weights(3e14)))
+
+    # a target 1e20 m out makes the angle increments subnormal, so they carry
+    # few digits and the constraint residual is their rounding
+    SUBNORMAL_WEIGHTS = (1.0, 2e40, 2e40) * 2
+
+    def test_constraint_residual_limit_is_1e9_of_the_bias(self):
+        problem = _pair_problem([0.0, 7e-294, 0.0], 1e20, weights=self.SUBNORMAL_WEIGHTS)
+        sol = reg.solve_absolute_bias(problem)
+        assert 1e-12 < sol.constraint_residual / 7e-294 < 1e-9
+        problem = _pair_problem([0.0, 3e-297, 0.0], 1e20, weights=self.SUBNORMAL_WEIGHTS)
+        with pytest.raises(SingularSystem, match="misses the constraint") as info:
+            reg.solve_absolute_bias(problem)
+        missed = float(str(info.value).split(" by ")[1].split()[0])
+        assert 1e-9 < missed / 3e-297 < 1e-6 and missed > sys.float_info.min
+
+    def test_elevation_limit_is_cos_1e8(self):
+        # the cross-azimuth A stays a rotation times diag(1, p, p) up to the pole
+        near_pole = math.pi / 2 - 1e-7
+        assert 1e-8 < math.cos(near_pole) < 1e-6
+        sol = reg.solve_absolute_bias(_pair_problem([1.0, 2.0, 3.0], elevation1=near_pole))
+        assert sol.constraint_residual <= 1e-9 * np.sqrt(14.0)
+        at_pole = math.pi / 2 - 1e-9
+        assert 1e-10 < math.cos(at_pole) < 1e-8
+        with pytest.raises(SingularGeometry, match="sensor 1 .elevation"):
+            reg.solve_absolute_bias(_pair_problem([1.0, 2.0, 3.0], elevation1=at_pole))
+
+    @pytest.mark.parametrize("p_t", [reg.MIN_RANGE_M, 1e-4])
+    def test_target_distances_from_1e6_m_solve(self, p_t):
+        sol = reg.solve_absolute_bias(_pair_problem([1e-7, 2e-7, 3e-7], p_t))
+        assert sol.constraint_residual <= 1e-9 * np.sqrt(14.0) * 1e-7
+
+    def test_target_distance_below_1e6_m_is_singular(self):
+        with pytest.raises(SingularGeometry, match="sensor 1 .target distance 1e-07 m"):
+            reg.solve_absolute_bias(_pair_problem([1e-7, 2e-7, 3e-7], 1e-7))

@@ -194,6 +194,17 @@ class TestMonteCarlo:
         with pytest.raises(NonFiniteCovariance, match="overflows"):
             sim.run_monte_carlo(scenario(bias_var=1e308, n_runs=100, n_steps=20))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_relative_error_raises(self):
+        # a finite empirical S whose relative error overflows: the bias drives
+        # the two-step run's S21 to about 3e-3 against a predicted 1.7e-311
+        run = sim.SimScenario(
+            config=ss.SteadyStateConfig(period=1.0, meas_var=1e-310, process_var=0.0,
+                                        bias_var=1.0),
+            gains=ss.SteadyStateGains(0.5, 0.2), n_runs=1, n_steps=2, master_seed=7, burn_in=1)
+        with pytest.raises(NonFiniteCovariance, match="relative error overflows"):
+            sim.run_monte_carlo(run)
+
     def test_invalid_gains_rejected(self):
         bad = sim.SimScenario(
             config=ss.SteadyStateConfig.from_rho(2.0),

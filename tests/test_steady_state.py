@@ -1,4 +1,6 @@
+import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +94,32 @@ class TestSolveBeta:
             ss.solve_beta(0.2, 0.0)
         with pytest.raises(NoValidRoot):
             ss.solve_beta(0.2, -1.0)
+
+    @staticmethod
+    def within_ulps(alpha, rho, beta, ulps):
+        """The exact root of the gain cubic lies within ``ulps`` doubles of beta."""
+        a, r = Fraction(alpha), Fraction(rho)
+        c1, c0 = a * a - 2 * a + 2, a * a * (a - 2)
+        low = high = beta
+        for _ in range(ulps):
+            low, high = math.nextafter(low, -math.inf), math.nextafter(high, math.inf)
+        # the cubic is increasing, so it changes sign once, at the root
+        return all(sign * (2 * b ** 3 + r * (c1 * b + c0)) > 0
+                   for sign, b in ((-1, Fraction(low)), (1, Fraction(high))))
+
+    def test_root_within_three_ulps(self):
+        # the closed form alone misses three ulps at some of these points; its
+        # one Newton step brings every point within them
+        rng = np.random.default_rng(11)
+        for alpha, log_rho in zip(rng.uniform(1e-3, 1.999, 300), rng.uniform(-30, 300, 300)):
+            rho = 10.0 ** log_rho
+            assert self.within_ulps(alpha, rho, ss.solve_beta(alpha, rho), 3), (alpha, rho)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.5])
+    def test_root_within_an_ulp_near_the_largest_double(self, alpha):
+        # rho c1 overflows here, so the Newton step runs on the cubic divided
+        # by rho; undivided, its derivative is inf and the step does nothing
+        assert self.within_ulps(alpha, 1.7e308, ss.solve_beta(alpha, 1.7e308), 1)
 
 
 class TestCovarianceBlocks:
@@ -377,3 +405,42 @@ class TestValidateGainsNeverRaises:
                                    ss.SteadyStateConfig.from_rho(2.0))
         assert report.alpha_nonzero and report.beta_nonzero and report.beta_not_excluded
         assert not report.mq_positive_definite
+
+
+class TestDefiniteness:
+    """validate_gains' definiteness rules, one input on each side."""
+
+    GAINS = ss.SteadyStateGains(0.5, 0.2)
+
+    def test_zero_variance_block_is_zero_and_passes(self):
+        report = ss.validate_gains(self.GAINS, ss.SteadyStateConfig(1.0, 1.0, 0.0))
+        assert report.ok and report.mq_positive_definite
+
+    def test_positive_variance_block_that_underflows_to_zero_fails(self):
+        report = ss.validate_gains(self.GAINS, ss.SteadyStateConfig(1.0, 5e-324, 1.0))
+        assert not report.mn_positive_definite and report.mq_positive_definite
+
+    def test_zero_variance_block_that_overflows_fails(self):
+        # 0 * inf: the block is nan, not zero
+        report = ss.validate_gains(ss.SteadyStateGains(1e200, 0.2),
+                                   ss.SteadyStateConfig(1.0, 0.0, 1.0))
+        assert not report.mn_positive_definite
+
+    def test_blocks_not_judged_when_a_denominator_condition_fails(self):
+        # with beta 0 the measurement block is a finite zero-variance block, which
+        # would pass; it is reported as not definite with the failed condition
+        report = ss.validate_gains(ss.SteadyStateGains(0.5, 0.0),
+                                   ss.SteadyStateConfig(1.0, 0.0, 1.0))
+        assert report.failures == ("beta_nonzero", "stable", "mn_positive_definite",
+                                   "mq_positive_definite")
+
+
+def test_from_rho_names_a_negative_rho():
+    with pytest.raises(ValueError, match="^rho must be nonnegative$"):
+        ss.SteadyStateConfig.from_rho(-1.0)
+
+
+def test_gain_table_checks_the_noise_levels_of_every_point():
+    # every root is valid; the negative bias variance fails each point's config
+    with pytest.raises(ValueError, match="^variances must be nonnegative$"):
+        ss.gain_table([2.0], [0.2, 0.5], bias_var=-1.0)
