@@ -35,6 +35,8 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 TIER1 = [sys.executable, "-X", "dev", "-W", "error", "-m", "pytest", "-q", "-x",
          "-p", "no:cacheprovider", "--hypothesis-seed=0", "--continue-on-collection-errors",
          "tests"]
+#: seconds per suite run; a mutant that makes tier-1 hang is killed when it runs out
+TIMEOUT_S = 600
 
 #: (file under src/radarbias, old text, new text); the old text occurs once in its file
 MUTANTS = [
@@ -198,7 +200,7 @@ def _copy_tree(target: Path) -> None:
             shutil.copy2(source, target / name)
 
 
-def run_suite(mutant, timeout: float) -> tuple[str, str]:
+def run_suite(mutant) -> tuple[str, str]:
     """Tier-1 on a new copy of the tree, with ``mutant`` applied: (result, first failure)."""
     with tempfile.TemporaryDirectory(prefix="radarbias-mutant-") as tmp:
         tmp = Path(tmp)
@@ -211,9 +213,9 @@ def run_suite(mutant, timeout: float) -> tuple[str, str]:
         env = dict(os.environ, PYTHONPATH="src")
         try:
             proc = subprocess.run(TIER1, cwd=tmp, env=env, capture_output=True, text=True,
-                                  timeout=timeout)
+                                  timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return "killed", f"timeout after {timeout:.0f} s"
+            return "killed", f"timeout after {TIMEOUT_S} s"
     if proc.returncode == 0:
         return "survived", ""
     failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", proc.stdout, re.MULTILINE)
@@ -229,7 +231,6 @@ def main(argv=None) -> int:
     parser.add_argument("numbers", nargs="*", type=int, help="mutants to run (1-based)")
     parser.add_argument("--check", action="store_true",
                         help="only check that each old text occurs exactly once")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per suite run")
     args = parser.parse_args(argv)
     problems = check()
     for problem in problems:
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
     if not set(numbers) <= set(range(1, len(MUTANTS) + 1)):
         parser.error(f"mutant numbers run from 1 to {len(MUTANTS)}")
 
-    result, failure = run_suite(None, args.timeout)
+    result, failure = run_suite(None)
     if result != "survived":
         print(f"the unmutated suite fails ({failure}); no survey", file=sys.stderr)
         return 1
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
     survived = 0
     for number in numbers:
         name, old, new = MUTANTS[number - 1]
-        result, failure = run_suite(MUTANTS[number - 1], args.timeout)
+        result, failure = run_suite(MUTANTS[number - 1])
         survived += result == "survived"
         print(f"| {number} | `{name[:-3]}` | {_cell(old)} | {_cell(new)} | {result} | "
               f"{_cell(failure) if failure else ''} |", flush=True)

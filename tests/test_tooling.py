@@ -1,5 +1,6 @@
 """The README's library example, and failing property tests under ``-W error``."""
 
+import importlib
 import os
 import re
 import shutil
@@ -46,8 +47,15 @@ def test_failing_property_prints_its_example_under_w_error(tmp_path, libcst):
     Without the conftest, hypothesis's patch writer imports libcst on the
     failure, libcst's DeprecationWarning becomes an error in pytest's report
     hook, and the run ends in INTERNALERROR (exit 3). A ``libcst`` module
-    that raises ImportError stands in for a machine without libcst.
+    that raises ImportError stands in for a machine without libcst. The
+    ``installed`` case needs libcst, so where it is missing (as on CI) it
+    skips, and only that case tests the conftest.
     """
+    if libcst == "installed":
+        try:
+            importlib.import_module("libcst")
+        except ImportError:
+            pytest.skip("libcst is not installed")
     shutil.copy(TESTS / "conftest.py", tmp_path / "conftest.py")
     (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY, encoding="utf-8")
     if libcst == "missing":
