@@ -141,19 +141,22 @@ def cartesian_to_spherical(point) -> SphericalTriple:
     return SphericalTriple(r, psi, theta, at_pole=at_pole)
 
 
+def _pointing_rows(c_psi, s_psi, c_th, s_th) -> tuple:
+    # the along, cross-azimuth and elevation unit rows at azimuth psi and
+    # elevation theta; dtype-generic, so each caller keeps its own trigonometry
+    return ((c_th * c_psi, c_th * s_psi, s_th),
+            (-s_psi, c_psi, 0.0),
+            (-s_th * c_psi, -s_th * s_psi, c_th))
+
+
 def enu_to_face(azimuth: float, elevation: float) -> np.ndarray:
     """Rotation taking ENU vectors into the radar-face frame.
 
     Pitch by the elevation after yawing by the azimuth; rows are the face
     axes expressed in ENU.
     """
-    c_psi, s_psi = np.cos(azimuth), np.sin(azimuth)
-    c_th, s_th = np.cos(elevation), np.sin(elevation)
-    return np.array([
-        [c_th * c_psi, c_th * s_psi, s_th],
-        [-s_psi, c_psi, 0.0],
-        [-s_th * c_psi, -s_th * s_psi, c_th],
-    ])
+    return np.array(_pointing_rows(np.cos(azimuth), np.sin(azimuth),
+                                   np.cos(elevation), np.sin(elevation)))
 
 
 def face_to_enu(azimuth: float, elevation: float) -> np.ndarray:
@@ -163,20 +166,16 @@ def face_to_enu(azimuth: float, elevation: float) -> np.ndarray:
 
 def _site_frame(lon, lat, radius, ecc) -> tuple[np.ndarray, np.ndarray]:
     # dtype-generic (float or np.longdouble), one sin/cos of each angle: the
-    # ECI-to-ENU rotation, rows the east, north, up directions in ECI, and
-    # the ECI position of the ellipsoid surface point at the site
-    s_lon, c_lon = np.sin(lon), np.cos(lon)
-    s_lat, c_lat = np.sin(lat), np.cos(lat)
-    rotation = np.array([
-        [-s_lon, c_lon, 0.0],
-        [-s_lat * c_lon, -s_lat * s_lon, c_lat],
-        [c_lat * c_lon, c_lat * s_lon, s_lat],
-    ], dtype=s_lat.dtype)
+    # ECI-to-ENU rotation, rows the east, north, up directions in ECI (the
+    # pointing rows at (lon, lat), cycled), and the ECI ellipsoid point at the site
+    s_lat = np.sin(lat)
+    up, east, north = _pointing_rows(np.cos(lon), np.sin(lon), np.cos(lat), s_lat)
+    rotation = np.array([east, north, up], dtype=s_lat.dtype)
     e2 = ecc * ecc
     scale = radius / np.sqrt(1.0 - e2 * s_lat * s_lat)
     # scalar products, not scale times an array: the same roundings, one array fewer
-    origin = np.array([scale * (c_lat * c_lon), scale * (c_lat * s_lon),
-                       scale * ((1.0 - e2) * s_lat)], dtype=s_lat.dtype)
+    origin = np.array([scale * up[0], scale * up[1], scale * ((1.0 - e2) * s_lat)],
+                      dtype=s_lat.dtype)
     return rotation, origin
 
 

@@ -16,8 +16,8 @@ class NonFiniteTransform(DomainError):
 class SingularGeometry(DomainError):
     """Sensor geometry makes the measurement matrix singular.
 
-    Raised when the sensor-target distance is (near) zero or the elevation
-    is (near) +-pi/2, where the spherical increment map loses rank.
+    Raised when a sensor-target distance is below registration.MIN_RANGE_M:
+    the matrix's angle columns scale with the distance and vanish at zero.
     """
 
 

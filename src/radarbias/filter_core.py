@@ -137,14 +137,17 @@ class FilterState:
         """Posterior state at start-up: D = 0 so S = M.
 
         Without a prior covariance a large diagonal (1e6 per state unit)
-        is used by convention.
+        is used by convention. Raises DimensionMismatch unless x0 has n
+        entries and the prior is n x n.
         """
         n, _, _, p = model.dims
         x = np.asarray(x0, dtype=float)
         if x.shape != (n,):
             raise DimensionMismatch(f"x0 has shape {x.shape}, expected {(n,)}")
-        m_cov = np.eye(n) * 1e6 if noise_cov is None else _symmetrize(
-            np.array(noise_cov, dtype=float))
+        m_cov = np.eye(n) * 1e6 if noise_cov is None else np.array(noise_cov, dtype=float)
+        if m_cov.shape != (n, n):
+            raise DimensionMismatch(f"noise_cov has shape {m_cov.shape}, expected {(n, n)}")
+        _symmetrize(m_cov)
         return cls(x=x, noise_cov=m_cov, bias_sens=np.zeros((n, p)), total_cov=m_cov.copy())
 
 

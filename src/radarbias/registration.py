@@ -2,9 +2,10 @@
 
 The relative bias between two radars tracking the same target is assumed
 known in the rectangular ENU frame of sensor 1. The six absolute bias
-increments (per sensor: range, cross-azimuth cos(theta) dpsi, elevation)
-are recovered by minimizing a weighted quadratic subject to the affine
-constraint that the difference of the two absolute biases, mapped to
+increments (per sensor: range, cross-azimuth cos(theta) dpsi, elevation;
+mapped to ENU by A = face_to_enu(psi, theta) diag(1, p, p), the poles
+included) are recovered by minimizing a weighted quadratic subject to the
+affine constraint that the difference of the two absolute biases, mapped to
 ENU(1), equals the given relative bias. The objective is quadratic and the
 constraint affine, so the first-order conditions are solved in closed form
 and the result is the global minimum.
@@ -24,11 +25,10 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .coords import SphericalTriple
+from .coords import SphericalTriple, _pointing_rows
 from .errors import SingularGeometry, SingularSystem
 
-# geometry is rejected as singular below these
-COS_ELEVATION_TOL = 1e-8
+# a target distance below this is rejected as singular geometry
 MIN_RANGE_M = 1e-6
 
 _COND_LIMIT = 1e14
@@ -160,26 +160,23 @@ class RegistrationSolution:
 
 
 def _a_rows(geom: SensorGeometry, label: str) -> tuple:
-    # the three rows of A as Python floats, after the singularity checks
+    # the rows of A = face_to_enu(psi, theta) diag(1, p, p), as Python floats
     if not geom.p_t >= MIN_RANGE_M:
         raise SingularGeometry(f"singular geometry: {label} (target distance {geom.p_t} m)")
-    c_th, s_th = math.cos(geom.elevation), math.sin(geom.elevation)
-    if abs(c_th) < COS_ELEVATION_TOL:
-        raise SingularGeometry(
-            f"singular geometry: {label} (elevation {geom.elevation} rad too close to +-pi/2)")
-    c_psi, s_psi = math.cos(geom.azimuth), math.sin(geom.azimuth)
+    (a_e, a_n, a_u), (c_e, c_n, c_u), (t_e, t_n, t_u) = _pointing_rows(
+        math.cos(geom.azimuth), math.sin(geom.azimuth),
+        math.cos(geom.elevation), math.sin(geom.elevation))
     p = float(geom.p_t)
-    return ((c_th * c_psi, -s_psi * p, -s_th * c_psi * p),
-            (c_th * s_psi, c_psi * p, -s_th * s_psi * p),
-            (s_th, 0.0, c_th * p))
+    return ((a_e, c_e * p, t_e * p),
+            (a_n, c_n * p, t_n * p),
+            (a_u, c_u * p, t_u * p))
 
 
 def build_A(geom: SensorGeometry, label: str = "sensor") -> np.ndarray:
     """Matrix mapping (dr, dpsi, dtheta) to the bias vector in that sensor's ENU.
 
-    Columns are the range, cross-azimuth and cross-elevation directions,
-    the angle columns scaled by the sensor-target distance. Singular iff
-    the distance is zero or the elevation is +-pi/2.
+    A = face_to_enu(azimuth, elevation) diag(1, p, p), p the sensor-target
+    distance: a rotation times a scaling, so nonsingular at every elevation.
     """
     return np.array(_a_rows(geom, label))
 
@@ -224,11 +221,11 @@ def solve_absolute_bias(problem: RegistrationProblem) -> RegistrationSolution:
     S^-2 formed at all overflows once s exceeds about 1.3e154. Taking e
     from a keeps stationarity exact to rounding for any weight spread, and
     the passes do the same for the constraint; the third pass is needed
-    near the condition limit. Raises SingularGeometry for degenerate pointing, and
-    SingularSystem if B or the solution overflows, B B' is too
-    ill-conditioned to invert, or the solution misses the constraint by
-    more than 1e-9 of |relative_bias| and more than the smallest normal
-    double (multipliers below the smallest double, for instance).
+    near the condition limit. Raises SingularGeometry for a distance
+    below MIN_RANGE_M, and SingularSystem if B or the solution overflows,
+    B B' is too ill-conditioned to invert, or the solution misses the
+    constraint by more than 1e-9 of |relative_bias| and more than the
+    smallest normal double (multipliers below the smallest double, say).
     """
     c = _constraint_matrix(problem)
     d = np.array([*vars(problem.weights).values()])        # the six weights, in field order

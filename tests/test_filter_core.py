@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +84,15 @@ class TestModelValidation:
     def test_initial_state_shape_checked(self):
         with pytest.raises(DimensionMismatch, match=r"^x0 has shape \(3,\), expected \(2,\)$"):
             fc.FilterState.initial(cv_model(), [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("prior", [np.eye(3), np.eye(1), np.ones((2, 3)), np.ones(2), 4.0])
+    def test_initial_prior_shape_checked(self, prior):
+        # unchecked, a 3 x 3 or 1 x 1 prior would fail only at the first step,
+        # and a 2 x 3 one in numpy's broadcasting
+        shape = re.escape(str(np.shape(prior)))
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^noise_cov has shape {shape}, expected \(2, 2\)$"):
+            fc.FilterState.initial(cv_model(), [0.0, 0.0], noise_cov=prior)
 
     def test_measurement_update_needs_a_gain(self):
         model = cv_model()

@@ -281,7 +281,7 @@ def _multiplier_condition(problem) -> float:
        azimuths=_pair(_ANGLE), elevations=_pair(_ANGLE), convention=st.booleans(),
        factors=st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 6),
        spread=st.tuples(*[st.floats(min_value=-6.0, max_value=12.0)] * 6))
-# degenerate pointing: elevation pi/2 leaves cos(elevation) below the tolerance
+# sensor 2 at the zenith: A is a rotation times diag(1, p, p) there too, so it solves
 @example(bias=(200.0, 500.0, 300.0), p_t=(25000.0, 50000.0), azimuths=(0.0, 0.0),
          elevations=(0.7854, math.pi / 2), convention=True, factors=(0.0,) * 6,
          spread=(0.0,) * 6)
@@ -430,6 +430,46 @@ def test_build_a_is_the_spherical_jacobian_with_cross_azimuth(p_t, azimuth, elev
     want = jac * np.array([1.0, 1.0 / math.cos(elevation), 1.0])
     got = reg.build_A(reg.SensorGeometry(p_t, azimuth, elevation))
     np.testing.assert_allclose((got - want) / np.array([1.0, p_t, p_t]), 0.0, atol=1e-8)
+
+
+#: the second sensor of the pointing-frame property's solve
+_OTHER_VIEW = (5e4, 1.1, -0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_t=st.floats(min_value=1.0, max_value=1e6), azimuth=_ANGLE,
+       elevation=st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+       bias=st.tuples(*[st.floats(min_value=-1e3, max_value=1e3)] * 3))
+@example(p_t=2.5e4, azimuth=0.3, elevation=math.pi / 2, bias=(200.0, 500.0, 300.0))
+@example(p_t=1.0, azimuth=-math.pi, elevation=-math.pi / 2, bias=(-1.0, 0.0, 2.0))
+def test_one_pointing_frame(p_t, azimuth, elevation, bias):
+    """build_A, the face rotation and the site frames share one pointing frame.
+
+    - build_A is face_to_enu times diag(1, p, p), to a few eps of p;
+    - a site's ECI-to-ENU rotation at (lon, lat) = (azimuth, elevation) is
+      enu_to_face there with its rows cycled to (east, north, up), bit for bit;
+    - with this sensor and a second one, the poles included, the solve meets
+      the literal constraint rows within 1e-9 of |b| and agrees with the
+      independent method-of-multipliers minimizer. Weights 1, p^2, p^2 make
+      B B' = 2 I at every pointing, so the comparison is as tight as it gets.
+    """
+    face = coords.enu_to_face(azimuth, elevation)
+    a = reg.build_A(reg.SensorGeometry(p_t, azimuth, elevation))
+    np.testing.assert_allclose(a, face.T * [1.0, p_t, p_t], rtol=0, atol=4 * _EPS * p_t)
+    site = coords.eci_to_enu(coords.GeodeticSite(azimuth, elevation))
+    assert site.tobytes() == face[[1, 2, 0]].tobytes()
+
+    view, p_2 = (p_t, azimuth, elevation), _OTHER_VIEW[0]
+    d = np.array([1.0, p_t**2, p_t**2, 1.0, p_2**2, p_2**2])
+    sol = reg.solve_absolute_bias(_registration_problem(bias, *zip(view, _OTHER_VIEW), d))
+    e = np.concatenate([sol.bias1.as_array(), sol.bias2.as_array()])
+    rows = oracles.constraint_rows(view, _OTHER_VIEW)
+    # the solve's own bound: below the smallest normal double a residual is rounding
+    bound = max(1e-9 * math.hypot(*bias), sys.float_info.min)
+    assert math.hypot(*(rows @ e - bias)) <= bound
+    want = oracles.minimize_weighted_quadratic(d, rows, bias)
+    # compared as sqrt(d) e, where every increment carries the size of |b|
+    np.testing.assert_allclose(np.sqrt(d) * e, np.sqrt(d) * want, rtol=0, atol=bound)
 
 
 #: a sensor's view of a target: 5-100 km out, |elevation| <= 1.2

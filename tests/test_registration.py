@@ -62,8 +62,10 @@ class TestBuildA:
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(SingularGeometry, match="sensor 2"):
             reg.build_A(reg.SensorGeometry(0.0, 0.0, 0.0), "sensor 2")
-        with pytest.raises(SingularGeometry):
-            reg.build_A(reg.SensorGeometry(1e4, 0.0, np.pi / 2))
+        # pointing at the pole is not degenerate: A is a rotation times diag(1, p, p)
+        a = reg.build_A(reg.SensorGeometry(1e4, 0.0, np.pi / 2))
+        np.testing.assert_allclose(np.linalg.svd(a, compute_uv=False), [1e4, 1e4, 1.0],
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("field", ["p_t", "azimuth", "elevation"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -366,18 +368,18 @@ class TestDocumentedLimits:
         missed = float(str(info.value).split(" by ")[1].split()[0])
         assert 1e-9 < missed / 3e-297 < 1e-6 and missed > sys.float_info.min
 
-    def test_elevation_limit_is_cos_1e8(self):
+    def test_elevations_up_to_the_pole_solve(self):
         # the cross-azimuth A stays a rotation times diag(1, p, p) up to the pole
         near_pole = math.pi / 2 - 1e-7
         assert 1e-8 < math.cos(near_pole) < 1e-6
         sol = reg.solve_absolute_bias(_pair_problem([1.0, 2.0, 3.0], elevation1=near_pole))
         assert sol.constraint_residual <= 1e-9 * np.sqrt(14.0)
-        # The rejection below |cos el| 1e-8 refuses problems that solve (CHANGES.md,
-        # the FOUND line on registration._a_rows); a fix to _a_rows changes this half.
+        # |cos el| below 1e-8, and the poles themselves, solve as well
         at_pole = math.pi / 2 - 1e-9
         assert 1e-10 < math.cos(at_pole) < 1e-8
-        with pytest.raises(SingularGeometry, match="sensor 1 .elevation"):
-            reg.solve_absolute_bias(_pair_problem([1.0, 2.0, 3.0], elevation1=at_pole))
+        for elevation in (at_pole, math.pi / 2, -math.pi / 2):
+            sol = reg.solve_absolute_bias(_pair_problem([1.0, 2.0, 3.0], elevation1=elevation))
+            assert sol.constraint_residual <= 1e-9 * np.sqrt(14.0)
 
     @pytest.mark.parametrize("p_t", [reg.MIN_RANGE_M, 1e-4])
     def test_target_distances_from_1e6_m_solve(self, p_t):
