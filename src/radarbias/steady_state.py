@@ -83,11 +83,12 @@ class SteadyStateConfig:
     @classmethod
     def from_rho(cls, rho: float, period: float = 1.0, meas_var: float = 1.0,
                  bias_var: float = 0.0) -> "SteadyStateConfig":
-        """Config with the process noise derived from the noise ratio."""
+        """Config with the process noise from the noise ratio; meas_var must be positive."""
         if rho < 0:
             raise ValueError("rho must be nonnegative")
-        if not period * period > 0:
-            raise ValueError(f"period^2 = {period * period} must be positive")
+        cls(period, meas_var, 0.0, bias_var)
+        if not meas_var > 0:
+            raise ValueError(f"meas-var {meas_var} must be positive")
         process_var = rho * meas_var / (period * period)
         if math.isinf(process_var):
             raise ValueError(f"rho {rho} gives process_var = rho meas_var / period^2 = "
@@ -129,19 +130,15 @@ def fbar(gains: SteadyStateGains, period: float) -> np.ndarray:
     return np.array([[1.0 - a, (1.0 - a) * period], [-b / period, 1.0 - b]])
 
 
-def _eigenvalues(a, b):
-    # fbar's eigenvalues base +- sqrt(radicand) / 2, elementwise, as the real
-    # parts (re1, re2) and the imaginary part im of the first (the second's
-    # is -im); im is nonzero when the radicand is negative
+def _moduli(a, b):
+    # the moduli of fbar's eigenvalues base +- sqrt(radicand) / 2, elementwise,
+    # as hypot like Python's abs(complex); the imaginary part im is nonzero
+    # when the radicand is negative
     radicand = 2 * a * b - 4 * b + a * a + b * b
     base = 1.0 - (a + b) / 2.0
     half = np.sqrt(np.maximum(radicand, 0.0)) / 2.0
-    return base + half, base - half, np.sqrt(np.maximum(-radicand, 0.0)) / 2.0
-
-
-def _moduli(re1, re2, im):
-    # the eigenvalue moduli, as hypot like Python's abs(complex)
-    return np.hypot(re1, im), np.hypot(re2, im)
+    im = np.sqrt(np.maximum(-radicand, 0.0)) / 2.0
+    return np.hypot(base + half, im), np.hypot(base - half, im)
 
 
 def excluded_root(alpha: float) -> float:
@@ -327,10 +324,10 @@ class GainValidation:
         return tuple(name for name, passed in self.__dict__.items() if not passed)
 
 
-def _gain_checks(a, b, eigenvalues=None) -> dict:
+def _gain_checks(a, b, moduli=None) -> dict:
     # the three denominator conditions and closed-loop stability, keyed by
     # their GainValidation field names, elementwise over gain arrays
-    moduli = _moduli(*(_eigenvalues(a, b) if eigenvalues is None else eigenvalues))
+    moduli = _moduli(a, b) if moduli is None else moduli
     return {
         "alpha_nonzero": np.abs(a) > _ZERO_TOL,
         "beta_nonzero": np.abs(b) > _ZERO_TOL,
@@ -374,35 +371,30 @@ def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
     """Solve the gain cubic over a (rho, alpha) grid, as one array pass.
 
     Returns an (n_rho * n_alpha, 8) array in row-major grid order (rho
-    outer, alpha inner) with the columns of ``GAIN_SWEEP_HEADER``. Every
-    point gets the checks of ``solve_beta``, ``SteadyStateConfig.from_rho``
-    and ``predicted_covariances``, which run the same array code on one
-    point. If any point fails, those functions are called on the first
-    failing point in row-major order, so the error raised is the one they
-    raise for it: NoValidRoot, a ValueError from the config,
+    outer, alpha inner) with the columns of ``GAIN_SWEEP_HEADER``. The
+    noise levels are checked first, by ``SteadyStateConfig.from_rho``, even
+    for an empty grid. Every point then gets the checks of ``solve_beta``,
+    ``from_rho`` and ``predicted_covariances``, which run the same array
+    code on one point. If any point fails, those functions are called on
+    the first failing point in row-major order, so the error raised is
+    the one they raise for it: NoValidRoot, a ValueError from the config,
     DegenerateDenominator or NonFiniteCovariance.
     """
     rho_axis = np.asarray(rhos, dtype=float).ravel()
     alpha_axis = np.asarray(alphas, dtype=float).ravel()
     rho, alpha = np.repeat(rho_axis, alpha_axis.size), np.tile(alpha_axis, rho_axis.size)
-    # the noise levels that do not depend on rho, checked once: if they
-    # fail, every point fails
-    try:
-        SteadyStateConfig(period, meas_var, 0.0, bias_var)
-        noise_ok = True
-    except ValueError:
-        noise_ok = False
+    SteadyStateConfig.from_rho(0.0, period, meas_var, bias_var)
     with np.errstate(all="ignore"):
         # from_rho's process_var, with the same IEEE operations
         process_var = rho * meas_var / (period * period)
         beta = _beta_root(alpha, rho)
-        eigenvalues = _eigenvalues(alpha, beta)
+        moduli = _moduli(alpha, beta)
         (_, _, s_dot), (mn, mq) = _covariances(alpha, beta, period, meas_var, process_var,
                                                bias_var)
-        ok = noise_ok & np.logical_and.reduce(
-            [*_gain_checks(alpha, beta, eigenvalues).values(), _finite(s_dot),
+        ok = np.logical_and.reduce(
+            [*_gain_checks(alpha, beta, moduli).values(), _finite(s_dot),
              ~_vanishes(mn[1]), ~_vanishes(mq[1])])
-        table = np.column_stack([rho, alpha, beta, *_moduli(*eigenvalues),
+        table = np.column_stack([rho, alpha, beta, *moduli,
                                  s_dot[:, 0, 0], s_dot[:, 1, 0], excluded_root(alpha)])
     if not ok.all():
         i = int(np.argmin(ok))

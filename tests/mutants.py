@@ -17,10 +17,12 @@ if it fails, the survey stops.
     python tests/mutants.py --check     # each old text occurs exactly once; runs nothing
 
 A mutant that its module's file kills takes seconds; any other takes up to
-a full tier-1 run more (about 45 s on 2 CPUs). Each table row gives the
-mutant's wall time. Hypothesis runs with a fixed seed, so a survey
-repeats. The script uses the stdlib only, and pytest does not collect it
-(its name does not start with test_).
+a full tier-1 run more (about 45 s on 2 CPUs). A run that takes longer than
+``TIMEOUT_FACTOR`` times the unmutated suite's wall time is stopped, and its
+mutant killed: a mutant can make LAPACK hang on a non-finite matrix. Each
+table row gives the mutant's wall time. Hypothesis runs with a fixed seed,
+so a survey repeats. The script uses the stdlib only, and pytest does not
+collect it (its name does not start with test_).
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ PACKAGE = Path("src/radarbias")
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
 TIER1 = [sys.executable, "-X", "dev", "-W", "error", "-m", "pytest", "-q", "-x",
          "-p", "no:cacheprovider", "--hypothesis-seed=0", "--continue-on-collection-errors"]
-#: seconds per suite run; a mutant that makes tier-1 hang is killed when it runs out
-TIMEOUT_S = 600
+#: a suite run may take this many times the unmutated suite's wall time; a mutant whose
+#: run takes longer (tier-1 hangs) is killed
+TIMEOUT_FACTOR = 3
 
 #: (file under src/radarbias, old text, new text); the old text occurs once in its file
 MUTANTS = [
@@ -78,6 +81,8 @@ MUTANTS = [
     ("steady_state.py", "scale = np.maximum(rho, 1.0)", "scale = 1.0"),
     ("steady_state.py", "if not r > 0:", "if not r >= 0:"),
     # steady_state: validity checks
+    ("steady_state.py", "im = np.sqrt(np.maximum(-radicand, 0.0)) / 2.0", "im = 0.0"),
+    ("steady_state.py", "np.hypot(base - half, im)", "np.hypot(base - half, 0.0)"),
     ("steady_state.py", '"stable": np.maximum(*moduli) < 1.0,',
      '"stable": np.maximum(*moduli) <= 1.0,'),
     ("steady_state.py", "eigvalsh(block[0]) > 0))", "eigvalsh(block[0]) >= 0))"),
@@ -90,14 +95,16 @@ MUTANTS = [
     ("steady_state.py", "    if not _finite(stack):\n", "    if False:\n"),
     # steady_state: config checks
     ("steady_state.py", "if rho < 0:", "if False:"),
-    ("steady_state.py", "if not period * period > 0:", "if not period > 0:"),
+    ("steady_state.py", "        cls(period, meas_var, 0.0, bias_var)\n", "        pass\n"),
+    ("steady_state.py", "if not meas_var > 0:", "if not meas_var >= 0:"),
     ("steady_state.py", "if math.isinf(process_var):", "if False:"),
     ("steady_state.py", "if not (self.period > 0 and 0 < self.period * self.period < math.inf):",
      "if not self.period > 0:"),
     ("steady_state.py", "if self.meas_var < 0 or self.process_var < 0 or self.bias_var < 0:",
      "if self.meas_var < 0 or self.process_var < 0:"),
-    # steady_state: the gain table's point checks
-    ("steady_state.py", "ok = noise_ok & np.logical_and.reduce(", "ok = np.logical_and.reduce("),
+    # steady_state: the gain table's noise-level check and point checks
+    ("steady_state.py", "    SteadyStateConfig.from_rho(0.0, period, meas_var, bias_var)\n",
+     "    pass\n"),
     ("steady_state.py", "_finite(s_dot),\n             ~_vanishes(mn[1]), ~_vanishes(mq[1])])",
      "_finite(s_dot)])"),
     # filter_core: the gain equation
@@ -174,7 +181,6 @@ MUTANTS = [
      "if False:\n        raise NonFiniteTransform"),
     ("cli.py", "if len(values) != 2:", "if len(values) < 2:"),
     ("cli.py", "if len(point) != 3:", "if len(point) < 3:"),
-    ("cli.py", "if not args.meas_var > 0:", "if not args.meas_var >= 0:"),
     ("cli.py", "if args.seed is not None:", "if args.seed:"),
     ("cli.py", "self.exit(3, ", "self.exit(2, "),
     ("cli.py", "except (ValueError, MemoryError) as exc:", "except ValueError as exc:"),
@@ -205,24 +211,25 @@ def _copy_tree(target: Path) -> None:
             shutil.copy2(source, target / name)
 
 
-def _pytest(tree: Path, target: str) -> tuple[str, str]:
+def _pytest(tree: Path, target: str, timeout: float | None) -> tuple[str, str]:
     """Tier-1's pytest run on ``target`` in ``tree``: (result, first failure)."""
     try:
         proc = subprocess.run([*TIER1, target], cwd=tree, env=dict(os.environ, PYTHONPATH="src"),
-                              capture_output=True, text=True, timeout=TIMEOUT_S)
+                              capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return "killed", f"timeout after {TIMEOUT_S} s"
+        return "killed", f"timeout after {timeout:.0f} s"
     if proc.returncode == 0:
         return "survived", ""
     failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", proc.stdout, re.MULTILINE)
     return "killed", failed.group(1) if failed else f"pytest exit {proc.returncode}"
 
 
-def run_suite(mutant) -> tuple[str, str]:
+def run_suite(mutant, timeout: float | None = None) -> tuple[str, str]:
     """Tier-1 on a new copy of the tree, with ``mutant`` applied: (result, first failure).
 
     The mutated module's own test file runs first; the whole suite runs only
-    when it passes (and always when ``mutant`` is None).
+    when it passes (and always when ``mutant`` is None). Each run is stopped
+    after ``timeout`` seconds.
     """
     with tempfile.TemporaryDirectory(prefix="radarbias-mutant-") as tmp:
         tmp = Path(tmp)
@@ -234,10 +241,10 @@ def run_suite(mutant) -> tuple[str, str]:
                             encoding="utf-8")
             own = f"tests/test_{name}"
             if (tmp / own).is_file():
-                result = _pytest(tmp, own)
+                result = _pytest(tmp, own, timeout)
                 if result[0] == "killed":
                     return result
-        return _pytest(tmp, "tests")
+        return _pytest(tmp, "tests", timeout)
 
 
 def _cell(text: str) -> str:
@@ -262,17 +269,21 @@ def main(argv=None) -> int:
     if not set(numbers) <= set(range(1, len(MUTANTS) + 1)):
         parser.error(f"mutant numbers run from 1 to {len(MUTANTS)}")
 
+    start = time.perf_counter()
     result, failure = run_suite(None)
+    timeout = TIMEOUT_FACTOR * (time.perf_counter() - start)
     if result != "survived":
         print(f"the unmutated suite fails ({failure}); no survey", file=sys.stderr)
         return 1
+    print(f"unmutated suite: {timeout / TIMEOUT_FACTOR:.0f} s, so a run stops after "
+          f"{timeout:.0f} s\n")
     print("| # | module | old | new | result | first failure | s |")
     print("| ---: | --- | --- | --- | --- | --- | ---: |")
     survived = 0
     for number in numbers:
         name, old, new = MUTANTS[number - 1]
         start = time.perf_counter()
-        result, failure = run_suite(MUTANTS[number - 1])
+        result, failure = run_suite(MUTANTS[number - 1], timeout)
         survived += result == "survived"
         print(f"| {number} | `{name[:-3]}` | {_cell(old)} | {_cell(new)} | {result} | "
               f"{_cell(failure) if failure else ''} | {time.perf_counter() - start:.0f} |",

@@ -76,41 +76,51 @@ def test_gain_table_rows_equal_scalar_entry_points(rho, alpha):
     assert table[5].tolist() == row
 
 
-def _scalar_chain_error(rho, alpha, noise):
-    """The error solve_beta, from_rho and predicted_covariances raise at one point, or None."""
+def _error(fn, *args, **kwargs):
+    """The ValueError that ``fn(*args, **kwargs)`` raises, or None."""
     try:
-        gains = ss.SteadyStateGains(alpha, ss.solve_beta(alpha, rho))
-        ss.predicted_covariances(gains, ss.SteadyStateConfig.from_rho(rho, **noise))
+        fn(*args, **kwargs)
     except ValueError as exc:
         return exc
     return None
 
 
+def _scalar_chain(rho, alpha, noise):
+    gains = ss.SteadyStateGains(alpha, ss.solve_beta(alpha, rho))
+    ss.predicted_covariances(gains, ss.SteadyStateConfig.from_rho(rho, **noise))
+
+
 _NOISE = dict(period=0.5, meas_var=2.0, bias_var=3.0)
-#: period^2 overflows here, so every row's config fails
+#: period^2 overflows here, so the noise-level check fails
 _OVERFLOWING_PERIOD_NOISE = dict(period=1e200, meas_var=1e-200)
+#: rho = q T^2 / N does not exist for N = 0, so the noise-level check fails
+_ZERO_MEAS_NOISE = dict(meas_var=0.0, bias_var=4.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(rhos=st.lists(st.one_of(st.floats(min_value=1e-3, max_value=1e3),
                                st.floats(min_value=-1e3, max_value=0.0), st.just(1e3),
                                st.floats(min_value=1e307, max_value=MAX_FLOAT)),
-                     min_size=1, max_size=4),
+                     min_size=0, max_size=4),
        alphas=st.lists(st.one_of(st.floats(min_value=0.05, max_value=1.9),
                                  st.floats(min_value=2.0, max_value=10.0), st.just(2e-6)),
                        min_size=1, max_size=4),
-       noise=st.sampled_from([_NOISE, _OVERFLOWING_PERIOD_NOISE]))
+       noise=st.sampled_from([_NOISE, _OVERFLOWING_PERIOD_NOISE, _ZERO_MEAS_NOISE]))
 @example(rhos=[2.0], alphas=[0.5, 2.5, 3.0], noise=_NOISE)
 @example(rhos=[2.0, 0.0], alphas=[0.5, 2.5], noise=_NOISE)
 @example(rhos=[1e3], alphas=[0.3, 2e-6], noise=_NOISE)
 @example(rhos=[2.0, MAX_FLOAT], alphas=[0.5, 1.0], noise=_NOISE)
 @example(rhos=[2.0], alphas=[0.2], noise=_OVERFLOWING_PERIOD_NOISE)
 @example(rhos=[2.0], alphas=[2.5, 0.2], noise=_OVERFLOWING_PERIOD_NOISE)
+@example(rhos=[], alphas=[0.2], noise=_OVERFLOWING_PERIOD_NOISE)
+@example(rhos=[2.0, 50.0], alphas=[0.2], noise=_ZERO_MEAS_NOISE)
 def test_gain_table_raises_the_scalar_chain_error_of_the_first_failing_point(rhos, alphas,
                                                                            noise):
-    """gain_table fails exactly when a grid point fails the scalar functions, with the
-    error they raise on the first such point in row-major order."""
-    errors = (_scalar_chain_error(rho, alpha, noise) for rho in rhos for alpha in alphas)
+    """gain_table fails exactly when the noise levels or a grid point fail the scalar
+    functions, with the error they raise first: from_rho's check of the levels, then
+    solve_beta, from_rho and predicted_covariances on each point in row-major order."""
+    errors = (_error(ss.SteadyStateConfig.from_rho, 0.0, **noise),
+              *(_error(_scalar_chain, rho, alpha, noise) for rho in rhos for alpha in alphas))
     first = next((exc for exc in errors if exc is not None), None)
     if first is None:
         table = ss.gain_table(rhos, alphas, **noise)

@@ -288,9 +288,18 @@ class TestConfig:
             ss.SteadyStateConfig(**kwargs)
 
     def test_from_rho_rejects_a_vanishing_period_square(self):
-        # 1e-200 squared underflows to zero, which process_var would divide by
-        with pytest.raises(ValueError, match=r"^period\^2 = 0\.0 must be positive$"):
+        # 1e-200 squared underflows to zero, which process_var would divide by; the
+        # config's own period check reports it
+        with pytest.raises(ValueError, match=r"^period 1e-200 must be positive with a finite "
+                                             r"nonzero square$"):
             ss.SteadyStateConfig.from_rho(2.0, period=1e-200)
+
+    @pytest.mark.parametrize("rho", [0.0, 2.0])
+    @pytest.mark.parametrize("meas_var", [0.0, -0.0])
+    def test_from_rho_requires_a_positive_meas_var(self, rho, meas_var):
+        # rho = q T^2 / N does not exist for N = 0: process_var would be 0 for every rho
+        with pytest.raises(ValueError, match=f"^meas-var {meas_var} must be positive$"):
+            ss.SteadyStateConfig.from_rho(rho, meas_var=meas_var)
 
     @pytest.mark.parametrize("field", ["period", "meas_var", "process_var", "bias_var"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -366,13 +375,31 @@ class TestGainTable:
         with pytest.raises(NoValidRoot, match="alpha=2.5, rho=2.0"):
             ss.gain_table([2.0, 0.0], [0.5, 2.5])
 
-    def test_config_error_after_root_checks(self):
+    def test_config_error_before_root_checks(self):
         with pytest.raises(ValueError, match=r"^period 1e\+200 must be positive with a finite "
                                              r"nonzero square$"):
             ss.gain_table([2.0], [0.2], period=1e200, meas_var=1e-200)
-        # a point whose root fails is reported before the row's config error
-        with pytest.raises(NoValidRoot):
+        # the noise levels are checked before any point, so a failing root is not reached
+        with pytest.raises(ValueError, match=r"^period 1e\+200 must be positive") as info:
             ss.gain_table([2.0], [2.5, 0.2], period=1e200, meas_var=1e-200)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("rhos, alphas, noise, message", [
+        # the table would ignore rho: process_var = rho 0 / T^2 is 0 at every point
+        ([2.0, 50.0], [0.2], dict(meas_var=0.0, bias_var=4.0), "meas-var 0.0 must be positive"),
+        ([], [0.2], dict(meas_var=0.0), "meas-var 0.0 must be positive"),
+        ([], [0.2], dict(meas_var=-1.0), "variances must be nonnegative"),
+        ([], [0.2], dict(period=1e200, meas_var=1e-200),
+         "period 1e+200 must be positive with a finite nonzero square"),
+        # reported before point 0's NoValidRoot
+        ([2.0], [2.5, 0.2], dict(meas_var=0.0), "meas-var 0.0 must be positive"),
+        ([2.0], [2.5, 0.2], dict(meas_var=-1.0), "variances must be nonnegative"),
+        ([0.0], [0.5], dict(bias_var=-1.0), "variances must be nonnegative"),
+    ])
+    def test_noise_levels_checked_before_any_point(self, rhos, alphas, noise, message):
+        with pytest.raises(ValueError) as info:
+            ss.gain_table(rhos, alphas, **noise)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     def test_degenerate_denominator_matches_scalar(self):
         beta = ss.solve_beta(2e-6, 1e3)
