@@ -10,7 +10,8 @@ covariance ``bias_cov``, entering the measurement through the (possibly
 state-dependent) function ``u``. Instead of appending bias states, the
 filter tracks the estimation error in two parts: a noise-driven covariance
 M and a bias-sensitivity matrix D with error component D (lambda - mean).
-The total covariance is S = M + D Lambda D'. The gain minimizing trace(S)
+The total covariance S is M + D Lambda D' on a predicted state, and on a
+posterior state only when du/dx = 0. The gain minimizing trace(S)
 accounts for both parts.
 
 ``time_update`` maps a posterior state to the prediction; the measurement
@@ -122,8 +123,9 @@ class FilterState:
     """Estimate, covariance parts and (optionally) the gain to apply.
 
     ``noise_cov`` is the noise-driven error covariance M, ``bias_sens`` the
-    n x p bias-sensitivity D, and ``total_cov`` S = M + D Lambda D'. The
-    same type carries posterior (k|k) and predicted (k+1|k) states.
+    n x p bias-sensitivity D, and ``total_cov`` S. The same type carries
+    posterior (k|k) and predicted (k+1|k) states; S = M + D Lambda D' holds
+    on the latter, and on the former only when du/dx = 0.
     """
 
     x: np.ndarray

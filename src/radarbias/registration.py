@@ -38,8 +38,11 @@ _CONSTRAINT_RTOL = 1e-9
 
 
 def _number(value, name: str, kind=float):
-    # a document's number as ``kind``; float() and int() would also take a
-    # bool or a numeric string, and float() raises OverflowError on a huge int
+    # a document's number as ``kind``; float() and int() would take a bool or a numeric
+    # string, int() would truncate a fraction (2e4 is 20000), float() overflows on a huge int
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     if isinstance(value, (bool, str)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:

@@ -36,13 +36,6 @@ STREAM_VERSION = 2
 BIAS, PROCESS, MEASUREMENT = 0, 1, 2
 
 
-def _whole(value, name: str) -> int:
-    # an integral number (2e4 reads as 20000); a bool or a fraction would be truncated
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return _number(value, name, int)
-
-
 @dataclass(frozen=True)
 class SimScenario:
     """One Monte-Carlo experiment definition."""
@@ -73,10 +66,10 @@ class SimScenario:
         return cls(
             config=_from_numbers(steady_state.SteadyStateConfig, doc["config"]),
             gains=_from_numbers(steady_state.SteadyStateGains, doc["gains"]),
-            n_runs=_whole(doc["n_runs"], "n_runs"),
-            n_steps=_whole(doc["n_steps"], "n_steps"),
-            master_seed=_whole(doc["master_seed"], "master_seed"),
-            burn_in=None if doc.get("burn_in") is None else _whole(doc["burn_in"], "burn_in"),
+            n_runs=_number(doc["n_runs"], "n_runs", int),
+            n_steps=_number(doc["n_steps"], "n_steps", int),
+            master_seed=_number(doc["master_seed"], "master_seed", int),
+            burn_in=None if doc.get("burn_in") is None else _number(doc["burn_in"], "burn_in", int)
         )
 
 
@@ -171,17 +164,15 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     )
 
 
-def synth_registration_scenario(
-    seed: int,
-    range_bias_m: float = 200.0,
-    angle_bias_rad: float = 5e-3,
-) -> tuple[registration.RegistrationProblem, tuple[SphericalTriple, SphericalTriple]]:
-    """A feasible registration problem with known ground-truth biases.
+def synth_registration_scenario(seed: int) -> tuple[registration.RegistrationProblem,
+                                                    tuple[SphericalTriple, SphericalTriple]]:
+    """A feasible registration problem with known ground-truth biases, drawn from ``seed``.
 
-    Draws nondegenerate geometries and true bias increments, then builds
-    the relative bias as A2 e2 - A1 e1 so the truth satisfies the
-    constraint exactly. Weights follow the convention of unity-order range
-    weights and angle weights of order 2 p_t^2.
+    Draws nondegenerate geometries and true bias increments (standard
+    deviations 200 m in range and 5e-3 rad in each angle), then builds the
+    relative bias as A2 e2 - A1 e1 so the truth satisfies the constraint
+    exactly. Weights follow the convention of unity-order range weights and
+    angle weights of order 2 p_t^2.
     """
     rng = np.random.default_rng(seed)
 
@@ -194,21 +185,19 @@ def synth_registration_scenario(
 
     def draw_truth():
         return SphericalTriple(
-            range_m=rng.normal(0.0, range_bias_m),
-            azimuth=rng.normal(0.0, angle_bias_rad),
-            elevation=rng.normal(0.0, angle_bias_rad),
+            range_m=rng.normal(0.0, 200.0),
+            azimuth=rng.normal(0.0, 5e-3),
+            elevation=rng.normal(0.0, 5e-3),
         )
+
+    def draw_weights(geom):
+        angle = 2.0 * geom.p_t**2
+        return (rng.uniform(0.5, 4.0), angle * rng.uniform(0.25, 4.0),
+                angle * rng.uniform(0.25, 4.0))
 
     geom1, geom2 = draw_geometry(), draw_geometry()
     truth1, truth2 = draw_truth(), draw_truth()
-    weights = registration.BiasCostWeights(
-        k_r1_sq=rng.uniform(0.5, 4.0),
-        k_psi1_sq=2.0 * geom1.p_t**2 * rng.uniform(0.25, 4.0),
-        k_theta1_sq=2.0 * geom1.p_t**2 * rng.uniform(0.25, 4.0),
-        k_r2_sq=rng.uniform(0.5, 4.0),
-        k_psi2_sq=2.0 * geom2.p_t**2 * rng.uniform(0.25, 4.0),
-        k_theta2_sq=2.0 * geom2.p_t**2 * rng.uniform(0.25, 4.0),
-    )
+    weights = registration.BiasCostWeights(*draw_weights(geom1), *draw_weights(geom2))
     relative_bias = (registration.build_A(geom2, "sensor 2") @ truth2.as_array()
                      - registration.build_A(geom1, "sensor 1") @ truth1.as_array())
     problem = registration.RegistrationProblem(

@@ -84,7 +84,7 @@ class SteadyStateConfig:
     def from_rho(cls, rho: float, period: float = 1.0, meas_var: float = 1.0,
                  bias_var: float = 0.0) -> "SteadyStateConfig":
         """Config with the process noise from the noise ratio; meas_var must be positive."""
-        if rho < 0:
+        if not rho >= 0:
             raise ValueError("rho must be nonnegative")
         cls(period, meas_var, 0.0, bias_var)
         if not meas_var > 0:

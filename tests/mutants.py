@@ -94,7 +94,7 @@ MUTANTS = [
      "if True:"),
     ("steady_state.py", "    if not _finite(stack):\n", "    if False:\n"),
     # steady_state: config checks
-    ("steady_state.py", "if rho < 0:", "if False:"),
+    ("steady_state.py", "if not rho >= 0:", "if False:"),
     ("steady_state.py", "        cls(period, meas_var, 0.0, bias_var)\n", "        pass\n"),
     ("steady_state.py", "if not meas_var > 0:", "if not meas_var >= 0:"),
     ("steady_state.py", "if math.isinf(process_var):", "if False:"),
@@ -134,7 +134,8 @@ MUTANTS = [
     ("sim_harness.py", "not 0 <= self.burn_in < self.n_steps",
      "not 0 <= self.burn_in <= self.n_steps"),
     ("sim_harness.py", "if self.master_seed < 0:", "if False:"),
-    ("sim_harness.py", "(isinstance(value, float) and not value.is_integer())", "False"),
+    # the scenario counts' whole-number rule, which registration._number applies
+    ("registration.py", "or isinstance(value, float) and not value.is_integer())", "or False)"),
     ("sim_harness.py", "return self.n_steps // 2 if", "return self.n_steps // 3 if"),
     # sim_harness: the run
     ("sim_harness.py", "if not report.ok:", "if False:"),
@@ -185,6 +186,13 @@ MUTANTS = [
     ("cli.py", "self.exit(3, ", "self.exit(2, "),
     ("cli.py", "except (ValueError, MemoryError) as exc:", "except ValueError as exc:"),
     ("cli.py", "return 2 if isinstance(exc, DomainError) else 3", "return 3"),
+    # appended, so the numbers above stay: the whole-number rule and a NaN noise ratio
+    ("registration.py", "if kind is int and (isinstance(value, bool)",
+     "if (isinstance(value, bool)"),
+    ("registration.py", "and not value.is_integer())", "and value.is_integer())"),
+    ("registration.py", "if kind is int and (isinstance(value, bool)\n",
+     "if kind is int and (False\n"),
+    ("steady_state.py", "if not rho >= 0:", "if rho < 0:"),
 ]
 
 

@@ -449,6 +449,20 @@ class TestStepComposition:
                 assert getattr(stepped, name).tobytes() == getattr(composed, name).tobytes(), name
 
 
+class TestPosteriorTotalCovariance:
+    @pytest.mark.parametrize("fixed_gain", [None, [[0.3], [0.05]]])
+    def test_cv_model_keeps_s_equal_to_m_plus_d_lambda_d(self, fixed_gain):
+        # the update forms S by its own recursion; with du/dx = 0 (the linear bias of
+        # to_filter_model) it stays M + D Lambda D' on every posterior state
+        model = cv_model()
+        rng = np.random.default_rng(3)
+        state = fc.FilterState.initial(model, [0.2, -0.1], noise_cov=np.eye(2))
+        for _ in range(200):
+            state = fc.step(model, state, rng.normal(0.0, 1.0, 1), gain=fixed_gain)
+            identity = state.noise_cov + state.bias_sens @ model.bias_cov @ state.bias_sens.T
+            assert np.abs(state.total_cov - identity).max() <= 1e-13 * np.abs(identity).max()
+
+
 class TestSingularInnovation:
     @pytest.mark.parametrize("meas_var, s11", [(0.0, 0.0), (np.nan, 1.0), (np.inf, 1.0),
                                                (1.0, np.nan), (1.0, np.inf)])

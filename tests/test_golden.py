@@ -1,14 +1,20 @@
-"""Golden CLI cases: each recorded argv still gives the same exit code, stderr and stdout.
+"""Golden CLI cases: each recorded command still gives the same exit code, stderr and stdout.
 
 Each line of ``tests/golden/*.jsonl`` is one case: the argv after
-``radarbias``, the exit code, the exact stderr and the SHA-256 of stdout.
-The cases run in-process through ``cli.main``.
+``radarbias``, the text fed to stdin (``stdin``, for ``--config -``; absent
+when the case reads none), the exit code, the exact stderr and the SHA-256
+of stdout. The cases run in-process through ``cli.main``, with argparse's
+width fixed at 80 columns. A ``simulate`` report's ``wall_time_s`` is
+masked before hashing. ``transform`` prints its long-double results in
+full, so its cases are checked only where ``np.longdouble`` is x87
+extended precision, on which they were recorded.
 
-    python tests/test_golden.py --regen     # rewrite every case from its argv
+    python tests/test_golden.py --regen     # rewrite every case from its argv and stdin
 
 Regenerate only for a change of behaviour made on purpose, and list the
 cases that changed; a case that changes by accident is a fault to mend.
-To add a case, append a line holding only its ``argv`` and regenerate.
+To add a case, append a line holding only its ``argv`` (and ``stdin``) and
+regenerate.
 """
 
 from __future__ import annotations
@@ -17,42 +23,65 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
 import sys
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
 
 from radarbias import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+EXTENDED = np.finfo(np.longdouble).nmant == 63
 
 
-def run_case(argv: list[str]) -> dict:
-    """The recorded fields of ``radarbias *argv``, run in-process."""
+def run_case(case: dict) -> dict:
+    """The recorded fields of ``radarbias *argv`` with the case's stdin, run in-process."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch("sys.stdin", io.StringIO(case.get("stdin", ""))), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(list(argv))
+            code = cli.main(list(case["argv"]))
         except SystemExit as exc:
             code = exc.code
-    return {"argv": list(argv), "exit": code, "stderr": err.getvalue(),
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
+    stdout = re.sub(r'"wall_time_s": [^,\n}]+', '"wall_time_s": 0', out.getvalue())
+    return {**case, "exit": code, "stderr": err.getvalue(),
+            "stdout_sha256": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
 
 
 def _cases(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
 
 
-def test_golden_cases_reproduce():
+def _changed(transform: bool) -> list[str]:
     files = sorted(GOLDEN.glob("*.jsonl"))
     assert files
-    changed = [f"{path.name}:{number}: {' '.join(case['argv'])[:120]}"
-               for path in files for number, case in enumerate(_cases(path), 1)
-               if run_case(case["argv"]) != case]
+    return [f"{path.name}:{number}: {' '.join(case['argv'])[:120]}"
+            for path in files for number, case in enumerate(_cases(path), 1)
+            if (case["argv"][:1] == ["transform"]) == transform and run_case(case) != case]
+
+
+def test_golden_cases_reproduce():
+    changed = _changed(transform=False)
     assert not changed, "golden cases changed:\n" + "\n".join(changed)
 
 
+@pytest.mark.skipif(not EXTENDED, reason="transform cases were recorded with an x87 extended "
+                    "np.longdouble, whose digits this platform's long double does not carry")
+def test_golden_transform_cases_reproduce():
+    changed = _changed(transform=True)
+    assert not changed, "golden transform cases changed:\n" + "\n".join(changed)
+
+
 def regen() -> None:
+    if not EXTENDED:
+        sys.exit("regenerate where np.longdouble is x87 extended, or the transform cases change")
     for path in sorted(GOLDEN.glob("*.jsonl")):
-        lines = [json.dumps(run_case(case["argv"])) for case in _cases(path)]
+        lines = [json.dumps(run_case(case)) for case in _cases(path)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"{path.name}: {len(lines)} cases")
 

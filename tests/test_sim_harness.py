@@ -256,12 +256,6 @@ class TestSynthScenario:
             scale = max(1.0, float(np.linalg.norm(problem.relative_bias)))
             assert float(np.linalg.norm(residual)) < 1e-10 * scale
 
-    def test_zero_bias_draw_gives_zero_relative_bias(self):
-        problem, (truth1, truth2) = sim.synth_registration_scenario(
-            0, range_bias_m=0.0, angle_bias_rad=0.0)
-        np.testing.assert_allclose(problem.relative_bias, np.zeros(3), atol=1e-12)
-        assert truth1.as_array().tolist() == [0.0, 0.0, 0.0]
-
     def test_solver_never_beats_truth_cost(self):
         # the closed form returns the global minimum, so its objective is
         # bounded by the objective of any feasible point, the truth included

@@ -467,6 +467,13 @@ def test_from_rho_names_a_negative_rho():
         ss.SteadyStateConfig.from_rho(-1.0)
 
 
+def test_from_rho_names_a_nan_rho():
+    # NaN fails rho >= 0; were it let through, the constructor would name the period
+    # and variances
+    with pytest.raises(ValueError, match="^rho must be nonnegative$"):
+        ss.SteadyStateConfig.from_rho(float("nan"))
+
+
 def test_gain_table_checks_the_noise_levels_of_every_point():
     # every root is valid; the negative bias variance fails each point's config
     with pytest.raises(ValueError, match="^variances must be nonnegative$"):
