@@ -49,6 +49,8 @@ def _number(value, name: str, kind=float):
         return kind(value)
     except OverflowError:
         raise ValueError(f"{name} does not fit a double") from None
+    except TypeError:  # null, a list or an object; Python's own text names no field
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 def _from_numbers(kind, doc: dict):

@@ -9,10 +9,11 @@ known ground-truth biases.
 Noise comes from per-step streams keyed by the master seed: one generator
 per stream kind and step (``stream_draws``), whose draw i belongs to run
 i. The bias stream (kind 0) is drawn once at step 0; the process (kind 1)
-and measurement (kind 2) streams once per step, by two pool threads ahead
-of the error loop. A run's noise thus does not depend on the number of
-runs; summed in a fixed order without BLAS, reports are the same bit for
-bit on any thread count, CPUs or BLAS. This layout is ``STREAM_VERSION`` 2;
+and measurement (kind 2) streams once per step, by a helper thread ahead of
+the error loop or by the loop's own thread. A run's noise thus depends
+neither on the number of runs nor on the thread that drew it; summed in a
+fixed order without BLAS, reports are the same bit for bit on any thread
+count, CPUs or BLAS. This layout is ``STREAM_VERSION`` 2;
 reports of the earlier per-run-generator layout are not bit-comparable.
 """
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +107,14 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     corrects it by the gain times the innovation. Raises InvalidGains when
     the gains fail validation for the scenario's noise levels,
     NonFiniteCovariance when the empirical covariance or its relative
-    error overflows a double, and MemoryError, before any draw, when the
-    run's arrays cannot be allocated.
+    error overflows a double, and MemoryError naming n_runs, before any
+    draw, when the run's arrays cannot be allocated.
 
-    Two pool threads draw the noise up to three steps ahead into a ring of
-    four steps' draws; the pool closes before this returns.
+    Each step's process and measurement draws go to a ring of four steps'
+    draws. A helper thread draws them in step order, up to three steps
+    ahead of the error loop; when the loop reaches a step not yet drawn, it
+    draws the next undrawn ones itself rather than wait. The helper ends
+    before this returns, and an exception raised on it is raised here.
     """
     report = steady_state.validate_gains(scenario.gains, scenario.config)
     if not report.ok:
@@ -126,33 +129,65 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     pred = steady_state.predicted_covariances(gains, cfg).s_dot
     gain_pos, gain_vel = steady_state.kbar(gains, period)
 
-    # the largest arrays first, so a run too large to allocate fails before any draw
-    ring = np.empty((4, 2, n_runs))  # step k's process and measurement draws at k % 4
-    err_pos, err_vel = err = np.zeros((2, n_runs))
+    try:  # the largest arrays first, so a run too large to allocate fails before any draw
+        ring = np.empty((4, 2, n_runs))  # step k's process and measurement draws at k % 4
+        err_pos, err_vel = err = np.zeros((2, n_runs))
+        tmp, innovation = np.empty((2, n_runs))
+    except (MemoryError, ValueError):  # numpy's ValueError: more entries than it can index
+        raise MemoryError(f"n_runs {n_runs} is too large to allocate the run's arrays") from None
     bias = stream_draws(seed, BIAS, 0, n_runs, math.sqrt(cfg.bias_var))
+    import itertools  # here: `import radarbias` starts no thread
+    import threading
+    # unit u is stream PROCESS + u % 2 at step u // 2, drawn into ring cell u % 8, whose event
+    # is set once it holds it; either thread claims units in order, each with a permit (one
+    # per free cell), and draws none from end on
+    cells, ready = ring.reshape(8, n_runs), [threading.Event() for _ in range(8)]
+    claims, permits, end, failure = itertools.count(), threading.Semaphore(8), 2 * n_steps, []
 
-    def fill(k):
-        for kind, scale, out in zip((PROCESS, MEASUREMENT), scales, ring[k % 4]):
-            stream_draws(seed, kind, k, n_runs, scale, out=out)
+    def draw(u):
+        stream_draws(seed, PROCESS + u % 2, u // 2, n_runs, scales[u % 2], out=cells[u % 8])
+        ready[u % 8].set()
+
+    def helper():
+        try:
+            while permits.acquire() and (u := next(claims)) < end:
+                draw(u)
+        except BaseException as exc:  # re-raised by the error loop
+            failure.append(exc)
+            for event in ready:
+                event.set()
     acc = np.zeros((2, 2))
-    from concurrent.futures import ThreadPoolExecutor  # here: `import radarbias` loads no pool
-    # an overflow is reported below as a non-finite covariance, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(2) as pool:
-        pending = deque(pool.submit(fill, k) for k in range(min(3, n_steps)))
-        for k in range(n_steps):
-            pending.popleft().result()
-            if k + 3 < n_steps:  # into the slot step k - 1 has just freed
-                pending.append(pool.submit(fill, k + 3))
-            process, meas = ring[k % 4]
-            err_pos += period * err_vel
-            err_vel += process
-            if k >= burn_in:
-                acc += np.einsum("ir,jr->ij", err, err)
-            innovation = err_pos + meas + bias
-            err_pos -= gain_pos * innovation
-            err_vel -= gain_vel * innovation
-        empirical = acc / n_samples
-        rel = np.divide(empirical - pred, pred, out=empirical - pred, where=pred != 0.0)
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        # an overflow is reported below as a non-finite covariance, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps):
+                for c in (2 * k % 8, 2 * k % 8 + 1):  # draw units until step k's are drawn
+                    while not ready[c].is_set():
+                        if permits.acquire(blocking=False) and (u := next(claims)) < end:
+                            draw(u)
+                        else:
+                            ready[c].wait()
+                    ready[c].clear()
+                if failure:
+                    raise failure[0]
+                process, meas = ring[k % 4]
+                err_pos += np.multiply(err_vel, period, out=tmp)
+                err_vel += process
+                if k >= burn_in:
+                    acc += np.einsum("ir,jr->ij", err, err)
+                np.add(err_pos, meas, out=innovation)
+                innovation += bias
+                err_pos -= np.multiply(innovation, gain_pos, out=tmp)
+                err_vel -= np.multiply(innovation, gain_vel, out=tmp)
+                permits.release(2)  # for the units of step k + 4
+            empirical = acc / n_samples
+            rel = np.divide(empirical - pred, pred, out=empirical - pred, where=pred != 0.0)
+    finally:
+        end = 0  # the helper's next claim is its last
+        permits.release()
+        thread.join()
     if not (np.isfinite(empirical).all() and np.isfinite(rel).all()):
         raise NonFiniteCovariance("empirical covariance or its relative error overflows")
     return SimReport(

@@ -140,18 +140,8 @@ MUTANTS = [
     # sim_harness: the run
     ("sim_harness.py", "if not report.ok:", "if False:"),
     ("sim_harness.py", "if k >= burn_in:", "if k > burn_in:"),
-    ("sim_harness.py", "ThreadPoolExecutor(2) as pool", "ThreadPoolExecutor(1) as pool"),
-    ("sim_harness.py",
-     "range(min(3, n_steps)))\n"
-     "        for k in range(n_steps):\n"
-     "            pending.popleft().result()\n"
-     "            if k + 3 < n_steps:  # into the slot step k - 1 has just freed\n"
-     "                pending.append(pool.submit(fill, k + 3))",
-     "range(min(1, n_steps)))\n"
-     "        for k in range(n_steps):\n"
-     "            pending.popleft().result()\n"
-     "            if k + 1 < n_steps:\n"
-     "                pending.append(pool.submit(fill, k + 1))"),
+    ("sim_harness.py", "threading.Semaphore(8)", "threading.Semaphore(2)"),
+    ("sim_harness.py", "                    ready[c].clear()\n", "                    pass\n"),
     ("sim_harness.py", "np.isfinite(empirical).all() and np.isfinite(rel).all()",
      "np.isfinite(empirical).all()"),
     ("sim_harness.py", "where=pred != 0.0", "where=True"),
@@ -193,6 +183,13 @@ MUTANTS = [
     ("registration.py", "if kind is int and (isinstance(value, bool)\n",
      "if kind is int and (False\n"),
     ("steady_state.py", "if not rho >= 0:", "if rho < 0:"),
+    # appended: the draw scheduler's failure and stop paths, a run too large to allocate
+    # and a document's null, list or object in place of a number
+    ("sim_harness.py", "                if failure:\n", "                if False:\n"),
+    ("sim_harness.py", "end = 0  #", "end = 2 * n_steps  #"),
+    ("sim_harness.py", "permits.release(2)", "permits.release(3)"),
+    ("sim_harness.py", "except (MemoryError, ValueError):", "except MemoryError:"),
+    ("registration.py", "    except TypeError:", "    except ZeroDivisionError:"),
 ]
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -247,6 +248,119 @@ class TestMonteCarlo:
         np.testing.assert_allclose(report.empirical_s, acc / (sc.n_runs * sc.n_steps),
                                    rtol=1e-12)
 
+
+class DrawFailed(Exception):
+    pass
+
+
+class DrawStopped(BaseException):
+    pass
+
+
+def run_bounded(sc, timeout=60):
+    """``run_monte_carlo(sc)`` on a daemon thread joined with a timeout.
+
+    Returns the thread's ident and the report or the exception raised. A
+    scheduler that deadlocks fails here instead of hanging the suite; the
+    stuck threads are daemons (the helper inherits it), so the run still ends.
+    """
+    out = {}
+
+    def target():
+        out["caller"] = threading.get_ident()
+        try:
+            out["report"] = sim.run_monte_carlo(sc)
+        except BaseException as exc:
+            out["raised"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "run_monte_carlo did not return: the scheduler deadlocked"
+    return out
+
+
+def wrap_draws(monkeypatch, hook):
+    """Patch ``sim.stream_draws`` to call ``hook(kind, step)`` before each draw."""
+    real = sim.stream_draws
+
+    def draw(seed, kind, step, *args, **kw):
+        hook(kind, step)
+        return real(seed, kind, step, *args, **kw)
+    monkeypatch.setattr(sim, "stream_draws", draw)
+
+
+class TestDrawScheduler:
+    """The error loop's thread and one helper thread share the per-step draws."""
+
+    def test_draws_come_from_the_caller_and_one_helper(self, monkeypatch):
+        sc = scenario(n_runs=300, n_steps=40, burn_in=0)
+        want = oracles.monte_carlo_reference(sc)
+        drawers = []
+
+        def hook(kind, step):
+            drawers.append(threading.get_ident())
+            if drawers[-1] != drawers[0]:  # the first draw, the bias, is the caller's
+                time.sleep(0.002)  # a slow helper: the loop's thread draws too
+        wrap_draws(monkeypatch, hook)
+        out = run_bounded(sc)
+        np.testing.assert_array_equal(out["report"].empirical_s, want)
+        assert drawers[0] == out["caller"] and out["caller"] in drawers[1:]
+        assert len(set(drawers)) <= 2
+        assert len(drawers) == 1 + 2 * sc.n_steps  # each unit drawn once
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        raised = DrawFailed("helper draw failed")
+        caller = []
+
+        def hook(kind, step):
+            if kind == sim.BIAS:
+                caller.append(threading.get_ident())
+            elif threading.get_ident() != caller[0]:
+                raise raised
+            else:
+                time.sleep(0.002)  # a slow loop: the helper draws, and fails
+        wrap_draws(monkeypatch, hook)
+        before = threading.active_count()
+        out = run_bounded(scenario(n_runs=100, n_steps=30))
+        assert out.get("raised") is raised
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("at_step", [0, 1, 5, 29])
+    def test_base_exception_from_a_draw_ends_the_helper(self, monkeypatch, at_step):
+        # raised on whichever thread draws that step's measurement noise
+        def hook(kind, step):
+            if kind == sim.MEASUREMENT and step == at_step:
+                raise DrawStopped(step)
+        wrap_draws(monkeypatch, hook)
+        before = threading.active_count()
+        out = run_bounded(scenario(n_runs=100, n_steps=30))
+        assert isinstance(out.get("raised"), DrawStopped)
+        assert threading.active_count() == before
+
+    def test_same_bits_under_contention(self):
+        # three runs at once, more threads than CPUs, switching every 10 us: a
+        # unit drawn twice, skipped or read before it is drawn changes the bits
+        runs = [scenario(n_runs=200, n_steps=n, master_seed=seed, burn_in=0)
+                for n, seed in ((3, 1), (17, 2), (40, 3))]
+        want = [oracles.monte_carlo_reference(sc) for sc in runs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                outs = [{} for _ in runs]
+                threads = [threading.Thread(
+                    target=lambda out=out, sc=sc: out.update(report=sim.run_monte_carlo(sc)),
+                    daemon=True) for out, sc in zip(outs, runs)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+                    assert not thread.is_alive(), "a run did not return: deadlock"
+                for out, expected in zip(outs, want):
+                    np.testing.assert_array_equal(out["report"].empirical_s, expected)
+        finally:
+            sys.setswitchinterval(interval)
 
 class TestSynthScenario:
     def test_constraint_holds_exactly(self):
