@@ -7,12 +7,14 @@ Model:
 
 where ``lambda`` is a random bias vector with mean ``bias_mean`` and
 covariance ``bias_cov``, entering the measurement through the (possibly
-state-dependent) function ``u``. Instead of appending bias states, the
-filter tracks the estimation error in two parts: a noise-driven covariance
-M and a bias-sensitivity matrix D with error component D (lambda - mean).
-The total covariance S is M + D Lambda D' on a predicted state, and on a
-posterior state only when du/dx = 0. The gain minimizing trace(S)
-accounts for both parts.
+state-dependent) function ``u``, which sees the true state x(k). Instead
+of appending bias states, the filter tracks the estimation error in two
+parts: a noise-driven covariance M and a bias-sensitivity matrix D with
+error component D (lambda - mean). A measurement with gain K moves them
+to L_e M L_e' + K N K' and L_e D - K W J_b, where L_e = I - K He,
+He = H + W J_x and J_x, J_b are u's Jacobians in x and lambda. Every
+state's total covariance S is M + D Lambda D', and the gain minimizing
+trace(S) accounts for both parts.
 
 ``time_update`` maps a posterior state to the prediction; the measurement
 operations (``optimal_gain``, ``measurement_update``) act on a predicted
@@ -20,17 +22,17 @@ state. The bias function and its Jacobians are evaluated at the predicted
 estimate and the mean bias.
 
 The public functions wrap private helpers on a state's arrays, so ``step``
-forms no predicted FilterState. State-free terms are kept on the model,
-outside its fields (so equality, ``repr``, copies and pickles do not see
-them), and its arrays are read-only copies, so they cannot go stale. The
-model keeps Phi'. While both Jacobians return the values (dtype, shape,
-bytes) of the model's last call, He = H + W J_x, He', W J_b,
-Ne = N + W J_b Lambda (W J_b)' and Lambda (W J_b)' are reused. Every
-measurement update also reuses L_e = I - K He, L_e', K', K N K', K W J_b,
-K Ne K' and (I - K H) Q (I - K H)' while its gain has the bytes of the
-last update's gain and the measurement terms were reused: a fixed gain
-hits, an optimal gain, which changes each step, forms them afresh. A miss
-runs the same products, so the outputs are the same to the bit.
+forms no predicted FilterState, and with a fixed gain no predicted S.
+State-free terms are kept on the model, outside its fields (so equality,
+``repr``, copies and pickles do not see them), and its arrays are
+read-only copies, so they cannot go stale. The model keeps Phi'. While
+both Jacobians return the values (dtype, shape, bytes) of the model's
+last call, He, He', W J_b, Ne = N + W J_b Lambda (W J_b)' and
+Lambda (W J_b)' are reused. Every measurement update also reuses L_e,
+L_e', K N K' and K W J_b while its gain has the bytes of the last
+update's gain and the measurement terms were reused: a fixed gain hits,
+an optimal gain, which changes each step, forms them afresh. A miss runs
+the same products, so the outputs are the same to the bit.
 
 The gain equation is solved directly for a scalar measurement (q = 1):
 the 1 x 1 bracket is accepted when it is finite and nonzero, which is
@@ -123,9 +125,8 @@ class FilterState:
     """Estimate, covariance parts and (optionally) the gain to apply.
 
     ``noise_cov`` is the noise-driven error covariance M, ``bias_sens`` the
-    n x p bias-sensitivity D, and ``total_cov`` S. The same type carries
-    posterior (k|k) and predicted (k+1|k) states; S = M + D Lambda D' holds
-    on the latter, and on the former only when du/dx = 0.
+    n x p bias-sensitivity D, and ``total_cov`` S = M + D Lambda D'. The
+    same type carries posterior (k|k) and predicted (k+1|k) states.
     """
 
     x: np.ndarray
@@ -160,12 +161,16 @@ def _state(x, m_cov, d, s_cov, gain=None) -> FilterState:
     return state
 
 
+def _total(model: BiasFilterModel, m_cov, d) -> np.ndarray:
+    # S = M + D Lambda D', the one form of the total covariance
+    return _symmetrize(m_cov + d.dot(model.bias_cov).dot(d.T))
+
+
 def _predict(model: BiasFilterModel, state: FilterState):
-    # the predicted x, M, D and S of a posterior state, as arrays
+    # the predicted x, M and D of a posterior state, as arrays
     phi, phi_t = model.transition, vars(model)["_phi_t"]
     m_cov = _symmetrize(phi.dot(state.noise_cov).dot(phi_t) + model.process_noise)
-    d = phi.dot(state.bias_sens)
-    return phi.dot(state.x), m_cov, d, _symmetrize(m_cov + d.dot(model.bias_cov).dot(d.T))
+    return phi.dot(state.x), m_cov, phi.dot(state.bias_sens)
 
 
 def time_update(model: BiasFilterModel, state: FilterState) -> FilterState:
@@ -174,10 +179,11 @@ def time_update(model: BiasFilterModel, state: FilterState) -> FilterState:
     x <- Phi x, M <- Phi M Phi' + Q, D <- Phi D, and the predicted total
     covariance S = M + D Lambda D' (with the propagated D).
     """
-    return _state(*_predict(model, state))
+    x, m_cov, d = _predict(model, state)
+    return _state(x, m_cov, d, _total(model, m_cov, d))
 
 
-def _pieces(model: BiasFilterModel, x, d):
+def _pieces(model: BiasFilterModel, x):
     # evaluated once per predicted state; shared by gain and update. The
     # state-free terms are kept on the model while the Jacobians repeat.
     jac_bias = np.array(model.bias_jac_bias(x, model.bias_mean), ndmin=2)
@@ -191,8 +197,7 @@ def _pieces(model: BiasFilterModel, x, d):
         lam_wjb_t = model.bias_cov.dot(w_jb.T)                      # Lambda (W J_b)'
         noise_eff = model.meas_noise + w_jb.dot(lam_wjb_t)
         kept = vars(model)["_pieces"] = (key, (output_eff, noise_eff, w_jb, lam_wjb_t, output_eff.T))
-    terms = kept[1]
-    return terms, d.dot(terms[3])                                   # cross C: n x q
+    return kept[1]
 
 
 def optimal_gain(model: BiasFilterModel, state: FilterState) -> np.ndarray:
@@ -203,16 +208,18 @@ def optimal_gain(model: BiasFilterModel, state: FilterState) -> np.ndarray:
         K (He S He' + Ne + He C + C' He') = S He' + C
 
     with He the effective output matrix, Ne the effective measurement
-    noise and C the bias cross term; with zero bias this reduces to the
+    noise and C = D Lambda (W J_b)' the bias cross term; S and C are
+    formed from the state's M and D. With zero bias this reduces to the
     classical gain S H' (H S H' + N)^-1. Raises SingularInnovation when
     the bracket is not finite or is numerically singular.
     """
-    return _optimal_gain(state.total_cov, _pieces(model, state.x, state.bias_sens))
+    return _optimal_gain(model, state.noise_cov, state.bias_sens, _pieces(model, state.x))
 
 
-def _optimal_gain(s_cov, pieces) -> np.ndarray:
-    (output_eff, noise_eff, _, _, output_eff_t), cross = pieces
-    rhs = s_cov.dot(output_eff_t) + cross                       # S He' + C
+def _optimal_gain(model: BiasFilterModel, m_cov, d, terms) -> np.ndarray:
+    output_eff, noise_eff, _, lam_wjb_t, output_eff_t = terms
+    cross = d.dot(lam_wjb_t)                                    # C: n x q
+    rhs = _total(model, m_cov, d).dot(output_eff_t) + cross     # S He' + C
     # He rhs = He S He' + He C, so the bracket adds Ne and (He C)'
     bracket = output_eff.dot(rhs) + noise_eff + output_eff.dot(cross).T
     if bracket.shape == (1, 1):
@@ -236,16 +243,14 @@ def measurement_update(model: BiasFilterModel, state: FilterState,
     """Fold one measurement into a predicted state using ``state.gain``.
 
     The estimate moves by K times the innovation z - H x - W u(x, mean).
-    M, D and S are updated so that the combined predict-plus-update
-    recursions of the two error components hold exactly: the process noise
-    passes through I - K H only, while the state-dependent part of the
-    bias function sees the noise-free prediction.
+    With L_e = I - K He, M <- L_e M L_e' + K N K', D <- L_e D - K W J_b
+    and S = M + D Lambda D'; ``state.total_cov`` is not read.
     """
     if state.gain is None:
         raise ValueError("predicted state carries no gain; set state.gain first")
-    x, d = state.x, state.bias_sens
-    return _measurement_update(model, x, state.noise_cov, d, state.total_cov, state.gain,
-                               z, _pieces(model, x, d))
+    x = state.x
+    return _measurement_update(model, x, state.noise_cov, state.bias_sens, state.gain,
+                               z, _pieces(model, x))
 
 
 def _gain_terms(model: BiasFilterModel, k_gain: np.ndarray, terms):
@@ -254,21 +259,17 @@ def _gain_terms(model: BiasFilterModel, k_gain: np.ndarray, terms):
     key = k_gain.tobytes()
     kept = vars(model).get("_gain")
     if kept is None or kept[0] != key or kept[1] is not terms:
-        output_eff, noise_eff, w_jb, _, _ = terms
-        eye, k_t = vars(model)["_eye"], k_gain.T
-        l_classic = eye - k_gain.dot(model.output)             # I - K H
-        l_eff = eye - k_gain.dot(output_eff)                   # I - K (H + W du/dx)
+        output_eff, _, w_jb, _, _ = terms
+        l_eff = vars(model)["_eye"] - k_gain.dot(output_eff)  # I - K (H + W du/dx)
         kept = vars(model)["_gain"] = (key, terms, (
-            l_eff, l_eff.T, k_t, l_classic.dot(model.process_noise).dot(l_classic.T),
-            k_gain.dot(model.meas_noise).dot(k_t), k_gain.dot(w_jb),
-            k_gain.dot(noise_eff).dot(k_t)))
+            l_eff, l_eff.T, k_gain.dot(model.meas_noise).dot(k_gain.T), k_gain.dot(w_jb)))
     return kept[2]
 
 
-def _measurement_update(model: BiasFilterModel, x, m_cov, d, s_cov, gain, z,
-                        pieces) -> FilterState:
+def _measurement_update(model: BiasFilterModel, x, m_cov, d, gain, z,
+                        terms) -> FilterState:
     # the update of a prediction's arrays with ``gain``, which the result carries
-    k_gain = np.array(gain, dtype=float, ndmin=2)      # a copy: the kept K' views it
+    k_gain = np.array(gain, dtype=float, ndmin=2)
     q, n = model.output.shape
     if k_gain.shape != (n, q):
         raise DimensionMismatch(f"gain has shape {k_gain.shape}, expected {(n, q)}")
@@ -276,20 +277,13 @@ def _measurement_update(model: BiasFilterModel, x, m_cov, d, s_cov, gain, z,
     if z.shape != (q,):
         raise DimensionMismatch(f"measurement has shape {z.shape}, expected {(q,)}")
 
-    terms, cross = pieces
     predicted_meas = model.output.dot(x) + model.bias_matrix.dot(np.array(
         model.bias_fn(x, model.bias_mean), ndmin=1))
     x = x + k_gain.dot(z - predicted_meas)
-    l_eff, l_eff_t, k_t, lql_t, knk_t, k_wjb, k_ne_k_t = _gain_terms(model, k_gain, terms)
-
-    # M next: the Q term propagates through I - K H (the bias function sees
-    # the noise-free prediction), the rest through the effective closure.
-    m_cov = _symmetrize(
-        l_eff.dot(m_cov - model.process_noise).dot(l_eff_t) + lql_t + knk_t)
-    t_cross = l_eff.dot(cross).dot(k_t)                        # L_e C K'
-    s_cov = _symmetrize(
-        l_eff.dot(s_cov).dot(l_eff_t) + k_ne_k_t - t_cross - t_cross.T.copy())
-    return _state(x, m_cov, l_eff.dot(d) - k_wjb, s_cov, gain)
+    l_eff, l_eff_t, knk_t, k_wjb = _gain_terms(model, k_gain, terms)
+    m_cov = _symmetrize(l_eff.dot(m_cov).dot(l_eff_t) + knk_t)
+    d = l_eff.dot(d) - k_wjb
+    return _state(x, m_cov, d, _total(model, m_cov, d), gain)
 
 
 def step(model: BiasFilterModel, state: FilterState, z,
@@ -301,7 +295,7 @@ def step(model: BiasFilterModel, state: FilterState, z,
     ``optimal_gain`` (or the fixed gain) and ``measurement_update``, with
     the bias function's Jacobians evaluated once.
     """
-    x, m_cov, d, s_cov = _predict(model, state)
-    pieces = _pieces(model, x, d)
-    gain = _optimal_gain(s_cov, pieces) if gain is None else np.asarray(gain, dtype=float)
-    return _measurement_update(model, x, m_cov, d, s_cov, gain, z, pieces)
+    x, m_cov, d = _predict(model, state)
+    terms = _pieces(model, x)
+    gain = _optimal_gain(model, m_cov, d, terms) if gain is None else np.asarray(gain, dtype=float)
+    return _measurement_update(model, x, m_cov, d, gain, z, terms)

@@ -53,9 +53,11 @@ def _number(value, name: str, kind=float):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
-def _from_numbers(kind, doc: dict):
-    # the record ``kind`` from a document of numbers: every field without a
-    # default, and each field with one that the document holds
+def _from_numbers(kind, doc: dict, name: str):
+    # the record ``kind`` from the document object ``name`` of numbers: every
+    # field without a default, and each field with one that the document holds
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be an object, got {doc!r}")
     return kind(**{f.name: _number(doc[f.name], f.name) for f in fields(kind)
                    if f.default is MISSING or f.name in doc})
 
@@ -130,17 +132,20 @@ class RegistrationProblem:
     def from_dict(cls, doc: dict) -> "RegistrationProblem":
         """Problem from the ``register`` config document.
 
-        The document holds ``relative_bias`` (three numbers), ``sensor1``
+        The document holds ``relative_bias`` (a list of three numbers), ``sensor1``
         and ``sensor2`` objects with ``p_t``, ``azimuth`` and ``elevation``,
         and a ``weights`` object with the six BiasCostWeights fields.
         Missing fields raise KeyError, malformed ones TypeError or
         ValueError; a bool or a string is not a number here.
         """
+        bias = doc["relative_bias"]
+        if not isinstance(bias, (list, tuple)):
+            raise ValueError(f"relative_bias must be a list, got {bias!r}")
         return cls(
-            relative_bias=np.array([_number(v, "relative_bias") for v in doc["relative_bias"]]),
-            geom1=_from_numbers(SensorGeometry, doc["sensor1"]),
-            geom2=_from_numbers(SensorGeometry, doc["sensor2"]),
-            weights=_from_numbers(BiasCostWeights, doc["weights"]),
+            relative_bias=np.array([_number(v, "relative_bias") for v in bias]),
+            geom1=_from_numbers(SensorGeometry, doc["sensor1"], "sensor1"),
+            geom2=_from_numbers(SensorGeometry, doc["sensor2"], "sensor2"),
+            weights=_from_numbers(BiasCostWeights, doc["weights"], "weights"),
         )
 
 

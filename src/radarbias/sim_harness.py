@@ -64,8 +64,8 @@ class SimScenario:
     @classmethod
     def from_dict(cls, doc: dict) -> "SimScenario":
         return cls(
-            config=_from_numbers(steady_state.SteadyStateConfig, doc["config"]),
-            gains=_from_numbers(steady_state.SteadyStateGains, doc["gains"]),
+            config=_from_numbers(steady_state.SteadyStateConfig, doc["config"], "config"),
+            gains=_from_numbers(steady_state.SteadyStateGains, doc["gains"], "gains"),
             n_runs=_number(doc["n_runs"], "n_runs", int),
             n_steps=_number(doc["n_steps"], "n_steps", int),
             master_seed=_number(doc["master_seed"], "master_seed", int),

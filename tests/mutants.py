@@ -190,6 +190,11 @@ MUTANTS = [
     ("sim_harness.py", "permits.release(2)", "permits.release(3)"),
     ("sim_harness.py", "except (MemoryError, ValueError):", "except MemoryError:"),
     ("registration.py", "    except TypeError:", "    except ZeroDivisionError:"),
+    # appended: the filter's one form of S, and the M and D updates
+    ("filter_core.py", "return _symmetrize(m_cov + d.dot(model.bias_cov).dot(d.T))",
+     "return m_cov + d.dot(model.bias_cov).dot(d.T)"),
+    ("filter_core.py", "l_eff.dot(m_cov).dot(l_eff_t) + knk_t)", "l_eff.dot(m_cov).dot(l_eff_t))"),
+    ("filter_core.py", "d = l_eff.dot(d) - k_wjb", "d = l_eff.dot(d) + k_wjb"),
 ]
 
 

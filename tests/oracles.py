@@ -304,39 +304,55 @@ def monte_carlo_reference(scenario):
     return acc / (n_runs * (scenario.n_steps - burn_in))
 
 
-def bias_filter_step(model, x, m, d, s, z, gain=None):
-    """One predict-update of the bias filter: returns (x, M, D, S, K).
+def augmented_filter_step(model, x, p_aug, z, gain=None):
+    """One predict-update as the covariance of the augmented error: returns (x, P, K).
 
-    The recursion as first written, with ``@`` products in their textbook
-    grouping and the gain from ``np.linalg.solve`` on the symmetrized
-    bracket, so it shares no arithmetic shortcut with the library step.
+    P is the covariance of [e; lambda - mean], e the posterior estimation
+    error. The bias function sees the true state x(k), linearized at the
+    predicted estimate and the mean bias, so with L_e = I - K He the next
+    error is L_e (Phi e + m) - K n - K W J_b (lambda - mean), and
+    P <- F P F' + G blockdiag(Q, N) G' with F = [[L_e Phi, -K W J_b], [0, I]]
+    and G = [[L_e, -K], [0, 0]]. Without a gain, K is the augmented Kalman
+    gain restricted to the state rows, [P- Ha']_e (Ha P- Ha' + N)^-1 with
+    Ha = [He, W J_b]: the textbook minimizer of the posterior trace of P_ee.
+    It shares no recursion with the library's split into M and D.
     """
     phi, h, w = model.transition, model.output, model.bias_matrix
-    q_cov, n_cov, lam = model.process_noise, model.meas_noise, model.bias_cov
-    n = len(x)
+    n, (q, p) = len(x), (len(model.meas_noise), len(model.bias_cov))
     x = phi @ x
-    m = phi @ m @ phi.T + q_cov
-    m = 0.5 * (m + m.T)
-    d = phi @ d
-    s = m + d @ lam @ d.T
-    s = 0.5 * (s + s.T)
     w_jb = w @ np.atleast_2d(model.bias_jac_bias(x, model.bias_mean))
     h_eff = h + w @ np.atleast_2d(model.bias_jac_state(x, model.bias_mean))
-    n_eff = n_cov + w_jb @ lam @ w_jb.T
-    cross = d @ lam @ w_jb.T
     if gain is None:
-        bracket = h_eff @ s @ h_eff.T + n_eff + h_eff @ cross + cross.T @ h_eff.T
-        bracket = 0.5 * (bracket + bracket.T)
-        gain = np.linalg.solve(bracket, (s @ h_eff.T + cross).T).T
-    x_new = x + gain @ (z - h @ x - w @ np.atleast_1d(model.bias_fn(x, model.bias_mean)))
-    l_classic = np.eye(n) - gain @ h
+        a = np.block([[phi, np.zeros((n, p))], [np.zeros((p, n)), np.eye(p)]])
+        p_pred = a @ p_aug @ a.T
+        p_pred[:n, :n] += model.process_noise
+        h_aug = np.hstack([h_eff, w_jb])
+        gain = np.linalg.solve(h_aug @ p_pred @ h_aug.T + model.meas_noise,
+                               (p_pred @ h_aug.T)[:n].T).T
     l_eff = np.eye(n) - gain @ h_eff
-    m_new = (l_eff @ (m - q_cov) @ l_eff.T + l_classic @ q_cov @ l_classic.T
-             + gain @ n_cov @ gain.T)
-    d_new = l_eff @ d - gain @ w_jb
-    s_new = (l_eff @ s @ l_eff.T + gain @ n_eff @ gain.T
-             - l_eff @ cross @ gain.T - gain @ cross.T @ l_eff.T)
-    return x_new, 0.5 * (m_new + m_new.T), d_new, 0.5 * (s_new + s_new.T), gain
+    f = np.block([[l_eff @ phi, -gain @ w_jb], [np.zeros((p, n)), np.eye(p)]])
+    g = np.block([[l_eff, -gain], [np.zeros((p, n + q))]])
+    noise = np.block([[model.process_noise, np.zeros((n, q))],
+                      [np.zeros((q, n)), model.meas_noise]])
+    x_new = x + gain @ (z - h @ x - w @ np.atleast_1d(model.bias_fn(x, model.bias_mean)))
+    return x_new, f @ p_aug @ f.T + g @ noise @ g.T, gain
+
+
+def augmented_run(model, x0, cov0, zs, gain=None):
+    """States (x, M, D, S, K) of ``augmented_filter_step`` from a posterior start with D = 0.
+
+    S = P_ee, D = P_e,lambda Lambda^-1 and M = S - D Lambda D'.
+    """
+    lam = model.bias_cov
+    n, p = len(x0), len(lam)
+    x = np.asarray(x0, dtype=float)
+    p_aug = np.block([[cov0, np.zeros((n, p))], [np.zeros((p, n)), lam]])
+    states = []
+    for z in zs:
+        x, p_aug, k = augmented_filter_step(model, x, p_aug, z, gain)
+        s, d = p_aug[:n, :n], np.linalg.solve(lam, p_aug[:n, n:].T).T
+        states.append((x, s - d @ lam @ d.T, d, s, k))
+    return states
 
 
 # closed forms of the steady error recursion that only the tests use

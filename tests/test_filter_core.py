@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radarbias import filter_core as fc
 from radarbias import steady_state as ss
@@ -55,6 +57,23 @@ def linear_bias_model(rng, n=2, q=2, p=1):
         bias_jac_state=lambda x, lam: u_mat,
         bias_jac_bias=lambda x, lam: v_mat,
     ), u_mat, v_mat
+
+
+def state_dependent_model():
+    # u(x, lam) = lam (1 + 0.1 sin x0): the Jacobians depend on the estimate,
+    # and du/dx is nonzero at the nonzero mean bias
+    return fc.BiasFilterModel(
+        transition=np.array([[1.0, 0.5], [0.0, 1.0]]),
+        output=np.array([[1.0, 0.0]]),
+        bias_matrix=np.array([[1.0]]),
+        process_noise=np.array([[0.01, 0.0], [0.0, 0.2]]),
+        meas_noise=np.array([[0.8]]),
+        bias_cov=np.array([[1.5]]),
+        bias_mean=np.array([0.5]),
+        bias_fn=lambda x, lam: lam * (1.0 + 0.1 * np.sin(x[0])),
+        bias_jac_state=lambda x, lam: np.array([[lam[0] * 0.1 * np.cos(x[0]), 0.0]]),
+        bias_jac_bias=lambda x, lam: np.array([[1.0 + 0.1 * np.sin(x[0])]]),
+    )
 
 
 class TestModelValidation:
@@ -176,7 +195,7 @@ class TestMeasurementUpdate:
                 bias_jac_state=lambda x, lam: np.zeros((1, 1)),
                 bias_jac_bias=lambda x, lam: np.ones((1, 1)))
             x0, m0, d0 = rng.normal(0, 1, 3)
-            s0 = m0 * m0 + 1.0  # any symmetric positive scalar
+            s0 = abs(m0) + 1 + d0 * d0 * lam_var  # S = M + D Lambda D'
             pred = fc.FilterState(
                 x=np.array([x0]), noise_cov=np.array([[abs(m0) + 1]]),
                 bias_sens=np.array([[d0]]),
@@ -207,21 +226,31 @@ class TestMeasurementUpdate:
                                        atol=1e-12)
 
     def test_total_covariance_dominates_noise_covariance(self):
-        # with a state-independent bias function the posterior recursions
-        # are consistent and the bias contribution to S is PSD; a
-        # state-dependent bias function sees the prediction error
-        # differently in the two recursions, breaking exact dominance at
-        # the linearization order, so it is asserted for the additive case
+        # S - M = D Lambda D' is PSD on every state, whether du/dx is zero or not
         rng = np.random.default_rng(13)
-        model = cv_model(bias_var=4.0)
-        state = fc.FilterState.initial(model, np.zeros(2), noise_cov=np.eye(2) * 10)
-        for k in range(200):
+        for model in (cv_model(bias_var=4.0), state_dependent_model(), linear_bias_model(rng)[0]):
+            q = model.dims[1]
+            state = fc.FilterState.initial(model, np.zeros(2), noise_cov=np.eye(2) * 10)
+            for k in range(200):
+                pred = fc.time_update(model, state)
+                gap_pred = np.linalg.eigvalsh(pred.total_cov - pred.noise_cov)
+                assert gap_pred.min() > -1e-10
+                state = fc.step(model, state, rng.normal(0, 1, q))
+                gap = np.linalg.eigvalsh(state.total_cov - state.noise_cov)
+                assert gap.min() > -1e-10
+
+    @pytest.mark.parametrize("make_model", [cv_model, state_dependent_model])
+    @pytest.mark.parametrize("fixed_gain", [None, [[0.3], [0.05]]])
+    def test_covariances_are_exactly_symmetric(self, make_model, fixed_gain):
+        # every returned M and S is symmetrized, so it equals its transpose to the bit
+        model = make_model()
+        rng = np.random.default_rng(61)
+        state = fc.FilterState.initial(model, np.array([0.2, -0.1]), noise_cov=np.eye(2))
+        for _ in range(200):
             pred = fc.time_update(model, state)
-            gap_pred = np.linalg.eigvalsh(pred.total_cov - pred.noise_cov)
-            assert gap_pred.min() > -1e-10
-            state = fc.step(model, state, rng.normal(0, 1, 1))
-            gap = np.linalg.eigvalsh(state.total_cov - state.noise_cov)
-            assert gap.min() > -1e-10
+            state = fc.step(model, state, rng.normal(0.0, 1.0, 1), gain=fixed_gain)
+            for cov in (pred.noise_cov, pred.total_cov, state.noise_cov, state.total_cov):
+                assert np.array_equal(cov, cov.T)
 
 
 class TestSuperposition:
@@ -413,23 +442,6 @@ class TestSteadyStateConsistency:
         np.testing.assert_allclose(gains[0], gains[1], atol=1e-8)
 
 
-def state_dependent_model():
-    # u(x, lam) = lam (1 + 0.1 sin x0): the Jacobians depend on the estimate,
-    # and du/dx is nonzero at the nonzero mean bias
-    return fc.BiasFilterModel(
-        transition=np.array([[1.0, 0.5], [0.0, 1.0]]),
-        output=np.array([[1.0, 0.0]]),
-        bias_matrix=np.array([[1.0]]),
-        process_noise=np.array([[0.01, 0.0], [0.0, 0.2]]),
-        meas_noise=np.array([[0.8]]),
-        bias_cov=np.array([[1.5]]),
-        bias_mean=np.array([0.5]),
-        bias_fn=lambda x, lam: lam * (1.0 + 0.1 * np.sin(x[0])),
-        bias_jac_state=lambda x, lam: np.array([[lam[0] * 0.1 * np.cos(x[0]), 0.0]]),
-        bias_jac_bias=lambda x, lam: np.array([[1.0 + 0.1 * np.sin(x[0])]]),
-    )
-
-
 class TestStepComposition:
     @pytest.mark.parametrize("fixed_gain", [None, [[0.3], [0.05]]])
     def test_step_equals_explicit_composition(self, fixed_gain):
@@ -450,17 +462,27 @@ class TestStepComposition:
 
 
 class TestPosteriorTotalCovariance:
-    @pytest.mark.parametrize("fixed_gain", [None, [[0.3], [0.05]]])
-    def test_cv_model_keeps_s_equal_to_m_plus_d_lambda_d(self, fixed_gain):
-        # the update forms S by its own recursion; with du/dx = 0 (the linear bias of
-        # to_filter_model) it stays M + D Lambda D' on every posterior state
-        model = cv_model()
+    """Every posterior state has S = M + D Lambda D', whether du/dx is zero or not."""
+
+    def check(self, model, fixed_gain):
         rng = np.random.default_rng(3)
         state = fc.FilterState.initial(model, [0.2, -0.1], noise_cov=np.eye(2))
         for _ in range(200):
             state = fc.step(model, state, rng.normal(0.0, 1.0, 1), gain=fixed_gain)
             identity = state.noise_cov + state.bias_sens @ model.bias_cov @ state.bias_sens.T
             assert np.abs(state.total_cov - identity).max() <= 1e-13 * np.abs(identity).max()
+
+    @pytest.mark.parametrize("fixed_gain", [None, [[0.3], [0.05]]])
+    def test_cv_model_keeps_s_equal_to_m_plus_d_lambda_d(self, fixed_gain):
+        self.check(cv_model(), fixed_gain)        # du/dx = 0, the bias of to_filter_model
+
+    @pytest.mark.parametrize("make_model", [
+        state_dependent_model, lambda: linear_bias_model(np.random.default_rng(5), q=1)[0]],
+        ids=["state_dependent", "linear"])
+    @pytest.mark.parametrize("fixed_gain", [None, [[0.3], [0.05]]])
+    def test_state_dependent_models_keep_s_equal_to_m_plus_d_lambda_d(self, make_model,
+                                                                      fixed_gain):
+        self.check(make_model(), fixed_gain)
 
 
 class TestSingularInnovation:
@@ -510,25 +532,14 @@ class TestSingularInnovation:
             fc.optimal_gain(model, pred)
 
 
-def reference_run(model, x0, cov0, zs, gain=None):
-    """States (x, M, D, S, K) of the oracle recursion from a posterior start."""
-    n, _, _, p = model.dims
-    x, m, d, s = np.asarray(x0, dtype=float), cov0, np.zeros((n, p)), cov0
-    states = []
-    for z in zs:
-        x, m, d, s, k = oracles.bias_filter_step(model, x, m, d, s, z, gain)
-        states.append((x, m, d, s, k))
-    return states
-
-
 class TestMatchesReferenceStep:
-    """The library step agrees with the oracle recursion to rounding over 500 steps."""
+    """The library step agrees with the augmented-state oracle to rounding over 500 steps."""
 
     def check(self, model, gain, rng):
         n, q, _, _ = model.dims
         zs = rng.normal(0.0, 1.0, (500, q))
         cov0 = np.eye(n) * 10.0
-        expected = reference_run(model, np.zeros(n), cov0, zs, gain)
+        expected = oracles.augmented_run(model, np.zeros(n), cov0, zs, gain)
         state = fc.FilterState.initial(model, np.zeros(n), noise_cov=cov0)
         for z, want in zip(zs, expected):
             state = fc.step(model, state, z, gain=gain)
@@ -550,9 +561,51 @@ class TestMatchesReferenceStep:
         gain = None
         if fixed:
             # the settled trace-optimal gain keeps the closed loop stable
-            gain = reference_run(model, np.zeros(2), np.eye(2) * 10.0,
-                                 np.zeros((200, q)))[-1][4]
+            gain = oracles.augmented_run(model, np.zeros(2), np.eye(2) * 10.0,
+                                         np.zeros((200, q)))[-1][4]
         self.check(model, gain, rng)
+
+
+def oracle_trace(model, state, gain):
+    """trace(S) after one augmented-oracle step with ``gain`` from a posterior state's x, M, D."""
+    lam, d, n = model.bias_cov, state.bias_sens, len(state.x)
+    p_aug = np.block([[state.noise_cov + d @ lam @ d.T, d @ lam], [lam @ d.T, lam]])
+    _, p_aug, _ = oracles.augmented_filter_step(model, state.x, p_aug,
+                                                np.zeros(model.dims[1]), gain)
+    return np.trace(p_aug[:n, :n])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3), p=st.integers(1, 2),
+       fixed=st.booleans())
+def test_linear_bias_models_match_the_augmented_oracle(seed, q, p, fixed):
+    """Each field follows the augmented-state oracle over 200 steps, and ``optimal_gain``
+    is a stationary point of the oracle's posterior trace."""
+    rng = np.random.default_rng(seed)
+    model, _, _ = linear_bias_model(rng, q=q, p=p)
+    cov0 = np.eye(2) * 10.0
+    gain = None
+    if fixed:
+        # the settled trace-optimal gain keeps the closed loop stable
+        gain = oracles.augmented_run(model, np.zeros(2), cov0, np.zeros((100, q)))[-1][4]
+    zs = rng.normal(0.0, 1.0, (200, q))
+    state = fc.FilterState.initial(model, np.zeros(2), noise_cov=cov0)
+    for k, (z, want) in enumerate(zip(zs, oracles.augmented_run(model, np.zeros(2), cov0,
+                                                                 zs, gain))):
+        if k in (0, 20, 199):
+            best = fc.optimal_gain(model, fc.time_update(model, state))
+            h = 1e-3 * max(1.0, np.abs(best).max())
+            trace = oracle_trace(model, state, best)
+            for i, j in np.ndindex(best.shape):
+                bump = np.zeros_like(best)
+                bump[i, j] = h
+                deriv = (oracle_trace(model, state, best + bump)
+                         - oracle_trace(model, state, best - bump)) / (2 * h)
+                assert abs(deriv) <= 1e-8 * trace, (k, i, j)
+        state = fc.step(model, state, z, gain=gain)
+        for name, ref in zip(STATE_FIELDS, want):
+            got = getattr(state, name)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (k, name)
 
 
 STATE_FIELDS = ("x", "noise_cov", "bias_sens", "total_cov", "gain")

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -171,6 +172,19 @@ class TestProblem:
         with pytest.raises(ValueError, match="^relative_bias must be a 3-vector, got shape "):
             reg.RegistrationProblem(relative_bias=bias, geom1=base.geom1, geom2=base.geom2,
                                     weights=base.weights)
+
+    @pytest.mark.parametrize("value", [None, 5, "200", {"a": 1}])
+    def test_relative_bias_must_be_a_list(self, value):
+        doc = {**oracles.WIDE_WEIGHT_SPREAD_CONFIG, "relative_bias": value}
+        with pytest.raises(ValueError, match=f"^{re.escape(f'relative_bias must be a list, got {value!r}')}$"):
+            reg.RegistrationProblem.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [None, [1.0], 5, "x"])
+    @pytest.mark.parametrize("field", ["sensor1", "sensor2", "weights"])
+    def test_objects_must_be_objects(self, field, value):
+        doc = {**oracles.WIDE_WEIGHT_SPREAD_CONFIG, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be an object, got {value!r}')}$"):
+            reg.RegistrationProblem.from_dict(doc)
 
 
 class TestSolve:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -60,6 +61,13 @@ class TestScenario:
         doc = scenario_doc()
         doc[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be a whole number, got "):
+            sim.SimScenario.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [None, [1.0], 0.2, "x"])
+    @pytest.mark.parametrize("field", ["config", "gains"])
+    def test_objects_must_be_objects(self, field, value):
+        doc = {**scenario_doc(), field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be an object, got {value!r}')}$"):
             sim.SimScenario.from_dict(doc)
 
     def test_integral_floats_accepted(self):
@@ -178,7 +186,7 @@ class TestMonteCarlo:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join(filter(None, path))}
             proc = subprocess.run([sys.executable, "-c", code, cpus], env=env,
-                                  capture_output=True, text=True, timeout=120)
+                                  capture_output=True, text=True, timeout=20)
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1
@@ -257,29 +265,6 @@ class DrawStopped(BaseException):
     pass
 
 
-def run_bounded(sc, timeout=60):
-    """``run_monte_carlo(sc)`` on a daemon thread joined with a timeout.
-
-    Returns the thread's ident and the report or the exception raised. A
-    scheduler that deadlocks fails here instead of hanging the suite; the
-    stuck threads are daemons (the helper inherits it), so the run still ends.
-    """
-    out = {}
-
-    def target():
-        out["caller"] = threading.get_ident()
-        try:
-            out["report"] = sim.run_monte_carlo(sc)
-        except BaseException as exc:
-            out["raised"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), "run_monte_carlo did not return: the scheduler deadlocked"
-    return out
-
-
 def wrap_draws(monkeypatch, hook):
     """Patch ``sim.stream_draws`` to call ``hook(kind, step)`` before each draw."""
     real = sim.stream_draws
@@ -291,7 +276,10 @@ def wrap_draws(monkeypatch, hook):
 
 
 class TestDrawScheduler:
-    """The error loop's thread and one helper thread share the per-step draws."""
+    """The error loop's thread and one helper thread share the per-step draws.
+
+    A scheduler that deadlocks is caught by the hang guard of conftest.py.
+    """
 
     def test_draws_come_from_the_caller_and_one_helper(self, monkeypatch):
         sc = scenario(n_runs=300, n_steps=40, burn_in=0)
@@ -303,9 +291,9 @@ class TestDrawScheduler:
             if drawers[-1] != drawers[0]:  # the first draw, the bias, is the caller's
                 time.sleep(0.002)  # a slow helper: the loop's thread draws too
         wrap_draws(monkeypatch, hook)
-        out = run_bounded(sc)
-        np.testing.assert_array_equal(out["report"].empirical_s, want)
-        assert drawers[0] == out["caller"] and out["caller"] in drawers[1:]
+        np.testing.assert_array_equal(sim.run_monte_carlo(sc).empirical_s, want)
+        caller = threading.get_ident()
+        assert drawers[0] == caller and caller in drawers[1:]
         assert len(set(drawers)) <= 2
         assert len(drawers) == 1 + 2 * sc.n_steps  # each unit drawn once
 
@@ -322,8 +310,9 @@ class TestDrawScheduler:
                 time.sleep(0.002)  # a slow loop: the helper draws, and fails
         wrap_draws(monkeypatch, hook)
         before = threading.active_count()
-        out = run_bounded(scenario(n_runs=100, n_steps=30))
-        assert out.get("raised") is raised
+        with pytest.raises(DrawFailed) as info:
+            sim.run_monte_carlo(scenario(n_runs=100, n_steps=30))
+        assert info.value is raised
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("at_step", [0, 1, 5, 29])
@@ -334,8 +323,8 @@ class TestDrawScheduler:
                 raise DrawStopped(step)
         wrap_draws(monkeypatch, hook)
         before = threading.active_count()
-        out = run_bounded(scenario(n_runs=100, n_steps=30))
-        assert isinstance(out.get("raised"), DrawStopped)
+        with pytest.raises(DrawStopped):
+            sim.run_monte_carlo(scenario(n_runs=100, n_steps=30))
         assert threading.active_count() == before
 
     def test_same_bits_under_contention(self):
@@ -350,13 +339,12 @@ class TestDrawScheduler:
             for _ in range(5):
                 outs = [{} for _ in runs]
                 threads = [threading.Thread(
-                    target=lambda out=out, sc=sc: out.update(report=sim.run_monte_carlo(sc)),
-                    daemon=True) for out, sc in zip(outs, runs)]
+                    target=lambda out=out, sc=sc: out.update(report=sim.run_monte_carlo(sc)))
+                    for out, sc in zip(outs, runs)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
-                    thread.join(120)
-                    assert not thread.is_alive(), "a run did not return: deadlock"
+                    thread.join()
                 for out, expected in zip(outs, want):
                     np.testing.assert_array_equal(out["report"].empirical_s, expected)
         finally:

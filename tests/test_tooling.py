@@ -1,4 +1,4 @@
-"""The README's library example, and failing property tests under ``-W error``."""
+"""The README's library example, failing property tests under ``-W error``, and hangs."""
 
 import importlib
 import os
@@ -24,7 +24,7 @@ def test_readme_python_block_runs():
     (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
                           re.MULTILINE | re.DOTALL)
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", block],
-                          capture_output=True, text=True, timeout=120,
+                          capture_output=True, text=True, timeout=20,
                           env={**os.environ, "PYTHONPATH": PYTHONPATH})
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert "[[119.67" in proc.stdout
@@ -64,7 +64,40 @@ def test_failing_property_prints_its_example_under_w_error(tmp_path, libcst):
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "pytest", "-q", "-p",
          "no:cacheprovider", "test_failing.py"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, capture_output=True, text=True, timeout=20,
         env={**os.environ, "PYTHONPATH": PYTHONPATH})
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout and "INTERNALERROR" not in proc.stdout
+
+
+HANGING_TEST = """\
+import threading
+
+
+def test_passes():
+    pass
+
+
+def test_waits_for_nothing():
+    threading.Event().wait()
+"""
+
+
+def test_a_hanging_test_ends_the_run_and_prints_its_stack(tmp_path):
+    """With tests/conftest.py, a test that blocks forever ends the run with exit 1.
+
+    The run uses pytest's default fd capture, as the tier-1 command does,
+    and the copied conftest lowers the limit to 2 s; the thread dump on
+    stderr names the blocked test.
+    """
+    shutil.copy(TESTS / "conftest.py", tmp_path / "conftest.py")
+    with open(tmp_path / "conftest.py", "a", encoding="utf-8") as conftest:
+        conftest.write("\nHANG_SECONDS = 2\n")
+    (tmp_path / "test_hanging.py").write_text(HANGING_TEST, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_hanging.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": PYTHONPATH})
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Timeout (0:00:02)!" in proc.stderr, proc.stderr
+    assert re.search(r"test_hanging\.py\", line \d+ in test_waits_for_nothing", proc.stderr)
