@@ -16,10 +16,10 @@ He = H + W J_x and J_x, J_b are u's Jacobians in x and lambda. Every
 state's total covariance S is M + D Lambda D', and the gain minimizing
 trace(S) accounts for both parts.
 
-``time_update`` maps a posterior state to the prediction; the measurement
-operations (``optimal_gain``, ``measurement_update``) act on a predicted
-state. The bias function and its Jacobians are evaluated at the predicted
-estimate and the mean bias.
+``time_update`` maps a posterior state to the prediction; ``optimal_gain``
+and ``measurement_update``, which takes the gain as ``step`` does, act on
+a predicted state. The bias function and its Jacobians are evaluated at
+the predicted estimate and the mean bias.
 
 The public functions wrap private helpers on a state's arrays, so ``step``
 forms no predicted FilterState, and with a fixed gain no predicted S.
@@ -120,13 +120,14 @@ class BiasFilterModel:
         return n, q, m, p
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FilterState:
-    """Estimate, covariance parts and (optionally) the gain to apply.
+    """Estimate, covariance parts and the gain that produced the state.
 
     ``noise_cov`` is the noise-driven error covariance M, ``bias_sens`` the
     n x p bias-sensitivity D, and ``total_cov`` S = M + D Lambda D'. The
-    same type carries posterior (k|k) and predicted (k+1|k) states.
+    same type carries posterior (k|k) and predicted (k+1|k) states; ``gain``
+    is the float array the update applied, None on a prediction or ``initial``.
     """
 
     x: np.ndarray
@@ -154,13 +155,6 @@ class FilterState:
         return cls(x=x, noise_cov=m_cov, bias_sens=np.zeros((n, p)), total_cov=m_cov.copy())
 
 
-def _state(x, m_cov, d, s_cov, gain=None) -> FilterState:
-    # a FilterState at half the cost of the frozen __init__; it holds only its fields
-    state = object.__new__(FilterState)
-    vars(state).update(x=x, noise_cov=m_cov, bias_sens=d, total_cov=s_cov, gain=gain)
-    return state
-
-
 def _total(model: BiasFilterModel, m_cov, d) -> np.ndarray:
     # S = M + D Lambda D', the one form of the total covariance
     return _symmetrize(m_cov + d.dot(model.bias_cov).dot(d.T))
@@ -180,7 +174,7 @@ def time_update(model: BiasFilterModel, state: FilterState) -> FilterState:
     covariance S = M + D Lambda D' (with the propagated D).
     """
     x, m_cov, d = _predict(model, state)
-    return _state(x, m_cov, d, _total(model, m_cov, d))
+    return FilterState(x, m_cov, d, _total(model, m_cov, d))
 
 
 def _pieces(model: BiasFilterModel, x):
@@ -238,19 +232,16 @@ def _optimal_gain(model: BiasFilterModel, m_cov, d, terms) -> np.ndarray:
     return np.linalg.solve(bracket, rhs.T).T
 
 
-def measurement_update(model: BiasFilterModel, state: FilterState,
-                       z) -> FilterState:
-    """Fold one measurement into a predicted state using ``state.gain``.
+def measurement_update(model: BiasFilterModel, state: FilterState, z,
+                       gain) -> FilterState:
+    """Fold one measurement into a predicted state with the n x q ``gain`` K.
 
     The estimate moves by K times the innovation z - H x - W u(x, mean).
     With L_e = I - K He, M <- L_e M L_e' + K N K', D <- L_e D - K W J_b
-    and S = M + D Lambda D'; ``state.total_cov`` is not read.
+    and S = M + D Lambda D'; only the state's x, M and D are read.
     """
-    if state.gain is None:
-        raise ValueError("predicted state carries no gain; set state.gain first")
-    x = state.x
-    return _measurement_update(model, x, state.noise_cov, state.bias_sens, state.gain,
-                               z, _pieces(model, x))
+    return _measurement_update(model, state.x, state.noise_cov, state.bias_sens, gain, z,
+                               _pieces(model, state.x))
 
 
 def _gain_terms(model: BiasFilterModel, k_gain: np.ndarray, terms):
@@ -283,7 +274,7 @@ def _measurement_update(model: BiasFilterModel, x, m_cov, d, gain, z,
     l_eff, l_eff_t, knk_t, k_wjb = _gain_terms(model, k_gain, terms)
     m_cov = _symmetrize(l_eff.dot(m_cov).dot(l_eff_t) + knk_t)
     d = l_eff.dot(d) - k_wjb
-    return _state(x, m_cov, d, _total(model, m_cov, d), gain)
+    return FilterState(x, m_cov, d, _total(model, m_cov, d), np.asarray(gain, dtype=float))
 
 
 def step(model: BiasFilterModel, state: FilterState, z,
@@ -297,5 +288,5 @@ def step(model: BiasFilterModel, state: FilterState, z,
     """
     x, m_cov, d = _predict(model, state)
     terms = _pieces(model, x)
-    gain = _optimal_gain(model, m_cov, d, terms) if gain is None else np.asarray(gain, dtype=float)
+    gain = _optimal_gain(model, m_cov, d, terms) if gain is None else gain
     return _measurement_update(model, x, m_cov, d, gain, z, terms)

@@ -135,8 +135,8 @@ class RegistrationProblem:
         The document holds ``relative_bias`` (a list of three numbers), ``sensor1``
         and ``sensor2`` objects with ``p_t``, ``azimuth`` and ``elevation``,
         and a ``weights`` object with the six BiasCostWeights fields.
-        Missing fields raise KeyError, malformed ones TypeError or
-        ValueError; a bool or a string is not a number here.
+        Missing fields raise KeyError and malformed ones ValueError; a
+        bool or a string is not a number here.
         """
         bias = doc["relative_bias"]
         if not isinstance(bias, (list, tuple)):

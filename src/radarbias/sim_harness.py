@@ -19,7 +19,9 @@ reports of the earlier per-run-generator layout are not bit-comparable.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 import time
 from dataclasses import dataclass
 
@@ -136,8 +138,6 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     except (MemoryError, ValueError):  # numpy's ValueError: more entries than it can index
         raise MemoryError(f"n_runs {n_runs} is too large to allocate the run's arrays") from None
     bias = stream_draws(seed, BIAS, 0, n_runs, math.sqrt(cfg.bias_var))
-    import itertools  # here: `import radarbias` starts no thread
-    import threading
     # unit u is stream PROCESS + u % 2 at step u // 2, drawn into ring cell u % 8, whose event
     # is set once it holds it; either thread claims units in order, each with a permit (one
     # per free cell), and draws none from end on

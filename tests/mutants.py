@@ -122,8 +122,9 @@ MUTANTS = [
     ("filter_core.py", "if kept is None or kept[0] != key or kept[1] is not terms:", "if True:"),
     ("filter_core.py", "if kept is None or kept[0] != key or kept[1] is not terms:",
      "if kept is None or kept[0] != key:"),
-    # filter_core: shape checks
-    ("filter_core.py", "if state.gain is None:", "if False:"),
+    # filter_core: the posterior carries the gain as a float array, then the shape checks
+    ("filter_core.py", "_total(model, m_cov, d), np.asarray(gain, dtype=float))",
+     "_total(model, m_cov, d), gain)"),
     ("filter_core.py", "if k_gain.shape != (n, q):", "if False:"),
     ("filter_core.py", "if z.shape != (q,):", "if False:"),
     ("filter_core.py", "if arr.shape != want:", "if False:"),

@@ -1,11 +1,13 @@
+import copy
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from radarbias import cli, coords, errors, registration, steady_state
+from radarbias import cli, coords, errors, registration, sim_harness, steady_state
 from radarbias.cli import main
 
 import oracles
@@ -754,3 +756,41 @@ def test_seed_zero_overrides_the_document(tmp_path, capsys):
         doc.pop("wall_time_s")
         outputs.append((code, doc))
     assert outputs[0] == outputs[1] != outputs[2]
+
+
+#: one value of each JSON kind and edge: null, a bool, numbers (a whole number past a
+#: double, 10**400), a string, lists, objects and the non-standard NaN and Infinity
+JSON_VALUES = [None, True, 1, 1.5, -1, 1e300, 10**400, "x", [], [1], [1, 2, 3], {}, {"a": 1},
+               math.nan, math.inf]
+
+
+def _fields(doc, path=()):
+    # the path of every field of a document, objects' and lists' entries included
+    entries = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(
+        doc, list) else ()
+    for key, value in entries:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+@pytest.mark.parametrize("reader, doc, n_fields", [
+    (registration.RegistrationProblem.from_dict, example_config(), 19),
+    (sim_harness.SimScenario.from_dict, scenario_doc(), 12)], ids=["register", "simulate"])
+def test_document_readers_raise_only_key_or_value_errors(reader, doc, n_fields):
+    # any value in any field is read or raises KeyError or ValueError, as from_dict says
+    paths, wrong = list(_fields(doc)), []
+    assert len(paths) == n_fields
+    for path in paths:
+        for value in JSON_VALUES:
+            changed = copy.deepcopy(doc)
+            parent = changed
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            try:
+                reader(changed)
+            except (KeyError, ValueError):
+                pass
+            except Exception as exc:  # any other kind breaks the contract
+                wrong.append(f"{path} = {value!r}: {type(exc).__name__}: {exc}")
+    assert not wrong, "\n".join(wrong)

@@ -96,9 +96,8 @@ class TestModelValidation:
         model = cv_model()
         state = fc.FilterState.initial(model, [0.0, 0.0])
         pred = fc.time_update(model, state)
-        pred = replace(pred, gain=np.array([[0.1], [0.1]]))
         with pytest.raises(DimensionMismatch):
-            fc.measurement_update(model, pred, [1.0, 2.0])
+            fc.measurement_update(model, pred, [1.0, 2.0], np.array([[0.1], [0.1]]))
 
     def test_initial_state_shape_checked(self):
         with pytest.raises(DimensionMismatch, match=r"^x0 has shape \(3,\), expected \(2,\)$"):
@@ -113,18 +112,12 @@ class TestModelValidation:
                            match=rf"^noise_cov has shape {shape}, expected \(2, 2\)$"):
             fc.FilterState.initial(cv_model(), [0.0, 0.0], noise_cov=prior)
 
-    def test_measurement_update_needs_a_gain(self):
-        model = cv_model()
-        pred = fc.time_update(model, fc.FilterState.initial(model, [0.0, 0.0]))
-        with pytest.raises(ValueError, match="^predicted state carries no gain"):
-            fc.measurement_update(model, pred, [1.0])
-
     @pytest.mark.parametrize("gain", [[[0.1, 0.1]], [0.1, 0.1, 0.1]])
     def test_gain_shape_checked(self, gain):
         model = cv_model()
         pred = fc.time_update(model, fc.FilterState.initial(model, [0.0, 0.0]))
         with pytest.raises(DimensionMismatch, match=r"^gain has shape .*, expected \(2, 1\)$"):
-            fc.measurement_update(model, replace(pred, gain=np.array(gain)), [1.0])
+            fc.measurement_update(model, pred, [1.0], np.array(gain))
         with pytest.raises(DimensionMismatch, match="^gain has shape"):
             fc.step(model, fc.FilterState.initial(model, [0.0, 0.0]), [1.0], gain=gain)
 
@@ -173,8 +166,7 @@ class TestMeasurementUpdate:
         model = cv_model()
         state = fc.FilterState.initial(model, [1.0, 2.0], noise_cov=np.eye(2) * 5)
         pred = fc.time_update(model, state)
-        pred = replace(pred, gain=np.zeros((2, 1)))
-        post = fc.measurement_update(model, pred, [10.0])
+        post = fc.measurement_update(model, pred, [10.0], np.zeros((2, 1)))
         np.testing.assert_allclose(post.x, pred.x)
         np.testing.assert_allclose(post.noise_cov, pred.noise_cov)
         np.testing.assert_allclose(post.bias_sens, pred.bias_sens)
@@ -199,9 +191,9 @@ class TestMeasurementUpdate:
             pred = fc.FilterState(
                 x=np.array([x0]), noise_cov=np.array([[abs(m0) + 1]]),
                 bias_sens=np.array([[d0]]),
-                total_cov=np.array([[s0]]), gain=np.array([[gain]]))
+                total_cov=np.array([[s0]]))
             z = rng.normal(0, 1)
-            post = fc.measurement_update(model, pred, [z])
+            post = fc.measurement_update(model, pred, [z], np.array([[gain]]))
             # independent scalar recursions
             m_prev = pred.noise_cov[0, 0]
             expected_x = x0 + gain * (z - x0 - 0.5)
@@ -253,6 +245,44 @@ class TestMeasurementUpdate:
                 assert np.array_equal(cov, cov.T)
 
 
+class TestPosteriorGain:
+    """A posterior's ``gain`` is the gain its update applied, as a float array."""
+
+    @pytest.mark.parametrize("update", ["step", "measurement_update"])
+    def test_list_converted_and_float_array_carried(self, update):
+        model = cv_model()
+        state = fc.FilterState.initial(model, [0.2, -0.1], noise_cov=np.eye(2))
+        predicted = fc.time_update(model, state)
+        assert state.gain is None and predicted.gain is None
+
+        def apply(gain):
+            if update == "step":
+                return fc.step(model, state, [1.0], gain=gain)
+            return fc.measurement_update(model, predicted, [1.0], gain)
+
+        listed = apply([[1], [0]]).gain
+        assert type(listed) is np.ndarray and listed.dtype == np.float64
+        np.testing.assert_array_equal(listed, [[1.0], [0.0]])
+        gain = np.array([[0.3], [0.05]])
+        assert apply(gain).gain is gain
+
+    def test_states_are_plain_records(self):
+        # a state can be rebound; replace, copies and pickles keep its fields, and
+        # it holds arrays, so it has no hash
+        model = cv_model()
+        state = fc.step(model, fc.FilterState.initial(model, [0.2, -0.1]), [1.0],
+                        gain=[[0.3], [0.05]])
+        assert not hasattr(state, "__dict__")
+        for other in (replace(state), copy.copy(state), copy.deepcopy(state),
+                      pickle.loads(pickle.dumps(state))):
+            for name in STATE_FIELDS:
+                assert getattr(other, name).tobytes() == getattr(state, name).tobytes(), name
+        state.x = np.zeros(2)
+        assert not state.x.any()
+        with pytest.raises(TypeError):
+            hash(state)
+
+
 class TestSuperposition:
     def test_error_recursion_splits_and_covariance_matches(self):
         rng = np.random.default_rng(17)
@@ -289,8 +319,7 @@ class TestSuperposition:
             total_cov=np.zeros((n, n)), gain=gain)
         for _ in range(n_steps):
             pred = fc.time_update(model, state)
-            state = fc.measurement_update(model, replace(pred, gain=gain),
-                                          np.zeros(q))
+            state = fc.measurement_update(model, pred, np.zeros(q), gain)
         empirical = full @ full.T / n_runs
         scale = np.linalg.norm(state.total_cov)
         assert np.linalg.norm(empirical - state.total_cov) / scale < 0.05
@@ -337,8 +366,7 @@ class TestOptimalGain:
         k_star = fc.optimal_gain(model, pred)
 
         def trace_with(gain):
-            post = fc.measurement_update(model, replace(pred, gain=gain),
-                                         np.zeros(2))
+            post = fc.measurement_update(model, pred, np.zeros(2), gain)
             return np.trace(post.total_cov)
 
         best = trace_with(k_star)
@@ -355,8 +383,7 @@ class TestOptimalGain:
         k_star = fc.optimal_gain(model, pred)
 
         def trace_with(gain):
-            post = fc.measurement_update(model, replace(pred, gain=gain),
-                                         np.zeros(2))
+            post = fc.measurement_update(model, pred, np.zeros(2), gain)
             return np.trace(post.total_cov)
 
         h = 1e-6
@@ -455,8 +482,7 @@ class TestStepComposition:
             stepped = fc.step(model, stepped, z, gain=fixed_gain)
             predicted = fc.time_update(model, composed)
             gain = fc.optimal_gain(model, predicted) if fixed_gain is None else fixed_gain
-            composed = fc.measurement_update(
-                model, replace(predicted, gain=np.asarray(gain, dtype=float)), z)
+            composed = fc.measurement_update(model, predicted, z, gain)
             for name in ("x", "noise_cov", "bias_sens", "total_cov", "gain"):
                 assert getattr(stepped, name).tobytes() == getattr(composed, name).tobytes(), name
 
@@ -663,9 +689,9 @@ class TestKeptTerms:
         gain = np.array([[0.2], [ss.solve_beta(0.2, 2.0)]])
         state = fc.FilterState.initial(model, np.zeros(2), noise_cov=np.eye(2))
         for z in np.random.default_rng(53).normal(0.0, 1.0, 20):
-            predicted = replace(fc.time_update(model, state), gain=gain)
-            state = fc.measurement_update(model, predicted, z)
-            want = fc.measurement_update(replace(model), predicted, z)
+            predicted = fc.time_update(model, state)
+            state = fc.measurement_update(model, predicted, z, gain)
+            want = fc.measurement_update(replace(model), predicted, z, gain)
             for name in STATE_FIELDS:
                 assert np.asarray(getattr(state, name)).tobytes() \
                     == np.asarray(getattr(want, name)).tobytes(), name
@@ -751,9 +777,8 @@ class TestNoAliasing:
             z = rng.normal(0.0, 1.0, 1)
             predicted = fc.time_update(model, state)
             gain = fc.optimal_gain(model, predicted) if fixed_gain is None else fixed_gain
-            predicted = replace(predicted, gain=np.asarray(gain, dtype=float))
             calls = ((fc.step, state, (z, fixed_gain)), (fc.time_update, state, ()),
-                     (fc.measurement_update, predicted, (z,)))
+                     (fc.measurement_update, predicted, (z, gain)))
             for function, given, args in calls:
                 before = {name: np.array(getattr(given, name), copy=True) for name in STATE_FIELDS
                           if getattr(given, name) is not None}

@@ -3,11 +3,15 @@
 Each line of ``tests/golden/*.jsonl`` is one case: the argv after
 ``radarbias``, the text fed to stdin (``stdin``, for ``--config -``; absent
 when the case reads none), the exit code, the exact stderr and the SHA-256
-of stdout. The cases run in-process through ``cli.main``, with argparse's
-width fixed at 80 columns. A ``simulate`` report's ``wall_time_s`` is
-masked before hashing. ``transform`` prints its long-double results in
-full, so its cases are checked only where ``np.longdouble`` is x87
-extended precision, on which they were recorded.
+of stdout. An argv entry may hold ``{output}``, which stands for a file in
+a new temporary directory, as in ``--output {output}``; the case then
+also records the SHA-256 of the file the command wrote (``output_sha256``),
+and the path is put back to ``{output}`` in stderr. The cases run
+in-process through ``cli.main``, with argparse's width fixed at 80
+columns. A ``simulate`` report's ``wall_time_s`` is masked before
+hashing. ``transform`` prints its long-double results in full, so its
+cases are checked only where ``np.longdouble`` is x87 extended precision,
+on which they were recorded.
 
     python tests/test_golden.py --regen     # rewrite every case from its argv and stdin
 
@@ -26,6 +30,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -36,21 +41,31 @@ from radarbias import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXTENDED = np.finfo(np.longdouble).nmant == 63
+OUTPUT = "{output}"
+
+
+def _sha256(text: str) -> str:
+    text = re.sub(r'"wall_time_s": [^,\n}]+', '"wall_time_s": 0', text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run_case(case: dict) -> dict:
     """The recorded fields of ``radarbias *argv`` with the case's stdin, run in-process."""
+    case = {key: value for key, value in case.items() if key != "output_sha256"}
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(case.get("stdin", ""))), \
+    with tempfile.TemporaryDirectory(prefix="radarbias-golden-") as tmp, \
+            mock.patch("sys.stdin", io.StringIO(case.get("stdin", ""))), \
             mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        output = Path(tmp) / "output"
         try:
-            code = cli.main(list(case["argv"]))
+            code = cli.main([arg.replace(OUTPUT, str(output)) for arg in case["argv"]])
         except SystemExit as exc:
             code = exc.code
-    stdout = re.sub(r'"wall_time_s": [^,\n}]+', '"wall_time_s": 0', out.getvalue())
-    return {**case, "exit": code, "stderr": err.getvalue(),
-            "stdout_sha256": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
+        written = ({"output_sha256": _sha256(output.read_bytes().decode("utf-8"))}
+                   if output.exists() else {})
+    return {**case, "exit": code, "stderr": err.getvalue().replace(str(output), OUTPUT),
+            "stdout_sha256": _sha256(out.getvalue()), **written}
 
 
 def _cases(path: Path) -> list[dict]:

@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +251,7 @@ class TestMonteCarlo:
                 err = truth - pred.x
                 acc += np.outer(err, err)
                 z = truth[0] + meas[k][i] + bias[i]
-                state = fc.measurement_update(model, replace(pred, gain=gain), [z])
+                state = fc.measurement_update(model, pred, [z], gain)
         np.testing.assert_allclose(report.empirical_s, acc / (sc.n_runs * sc.n_steps),
                                    rtol=1e-12)
 
