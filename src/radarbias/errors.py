@@ -39,7 +39,7 @@ class SingularInnovation(ValueError):
 
 
 class DegenerateDenominator(DomainError):
-    """A closed-form steady-state covariance denominator vanishes."""
+    """A gain condition that keeps a closed-form covariance denominator nonzero fails."""
 
 
 class NonFiniteCovariance(DomainError):
@@ -57,7 +57,7 @@ class NoValidRoot(DomainError):
 
 
 class InvalidGains(DomainError):
-    """Filter gains fail the steady-state validity checks."""
+    """Filter gains fail validate_gains' denominator or stability conditions."""
 
 
 class ConfigError(ValueError):

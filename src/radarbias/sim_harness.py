@@ -40,7 +40,7 @@ BIAS, PROCESS, MEASUREMENT = 0, 1, 2
 
 @dataclass(frozen=True)
 class SimScenario:
-    """One Monte-Carlo experiment definition."""
+    """One Monte-Carlo experiment definition; its counts are integers, not bools."""
 
     config: steady_state.SteadyStateConfig
     gains: steady_state.SteadyStateGains
@@ -50,6 +50,12 @@ class SimScenario:
     burn_in: int | None = None
 
     def __post_init__(self):
+        for name in ("n_runs", "n_steps", "master_seed", "burn_in"):
+            value = getattr(self, name)
+            # operator.index accepts exactly the types with __index__
+            if isinstance(value, bool) or not (hasattr(type(value), "__index__")
+                                               or name == "burn_in" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_runs < 1 or self.n_steps < 1:
             raise ValueError("n_runs and n_steps must be at least 1")
         if self.burn_in is not None and not 0 <= self.burn_in < self.n_steps:
@@ -107,10 +113,10 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     is, so each run's error (truth minus estimate) starts at zero. Each step
     predicts the error, accumulates its outer product after the burn-in, and
     corrects it by the gain times the innovation. Raises InvalidGains when
-    the gains fail validation for the scenario's noise levels,
-    NonFiniteCovariance when the empirical covariance or its relative
-    error overflows a double, and MemoryError naming n_runs, before any
-    draw, when the run's arrays cannot be allocated.
+    the gains fail ``validate_gains`` (the checks of ``gain_table``'s rows),
+    NonFiniteCovariance when the predicted or empirical covariance or its
+    relative error overflows a double, and MemoryError naming n_runs, before
+    any draw, when the run's arrays cannot be allocated.
 
     Each step's process and measurement draws go to a ring of four steps'
     draws. A helper thread draws them in step order, up to three steps
@@ -118,7 +124,7 @@ def run_monte_carlo(scenario: SimScenario) -> SimReport:
     draws the next undrawn ones itself rather than wait. The helper ends
     before this returns, and an exception raised on it is raised here.
     """
-    report = steady_state.validate_gains(scenario.gains, scenario.config)
+    report = steady_state.validate_gains(scenario.gains)
     if not report.ok:
         raise InvalidGains(f"gains fail validation: {', '.join(report.failures)}")
 

@@ -28,6 +28,7 @@ GAIN_SWEEP_HEADER = ("rho", "alpha", "beta", "eig1_mod", "eig2_mod", "S11dot", "
                      "excluded_root")
 
 _ZERO_TOL = 1e-12
+_DENOMINATOR_CHECKS = ("alpha_nonzero", "beta_nonzero", "beta_not_excluded")
 
 # the additive scalar bias u(x, lam) = lam of every filter model, in module-level
 # functions so that models pickle; its Jacobians are read-only, so returning
@@ -196,72 +197,66 @@ def _block(scale, d11, d21, d22):
     return scale[..., None, None] * block
 
 
-def _vanishes(den):
-    return np.abs(den) < _ZERO_TOL
-
-
 def _finite(stack):
     # each 2 x 2 matrix of a stack has only finite entries
     return np.isfinite(stack).all(axis=(-2, -1))
 
 
 def _mn_block(a, b, t, meas_var):
-    # steady_mn's block, its denominator and the denominator's label, elementwise
-    den = a * (4.0 - 2.0 * a - b)
-    return (_block(meas_var / den, 2 * a * a + 2 * b - 3 * a * b,
-                   b * (2 * a - b) / t, 2 * b * b / (t * t)),
-            den, "alpha (4 - 2 alpha - beta)")
+    # steady_mn's block, elementwise
+    return _block(meas_var / (a * (4.0 - 2.0 * a - b)), 2 * a * a + 2 * b - 3 * a * b,
+                  b * (2 * a - b) / t, 2 * b * b / (t * t))
 
 
 def _mq_block(a, b, t, process_var):
-    # steady_mq's block, its denominator and the denominator's label, elementwise
+    # steady_mq's block, elementwise
     a2, a3 = a * a, a * a * a
-    den = -4 * a * b + a * b * b + 2 * a2 * b
-    return (_block(process_var / den, t * t * (-2 + 5 * a - 4 * a2 + a3),
-                   t * (-2 * a + b - a * b + 3 * a2 - a3),
-                   -2 * b + 2 * a * b - 2 * a2 + a3),
-            den, "alpha beta (beta + 2 alpha - 4)")
+    return _block(process_var / (-4 * a * b + a * b * b + 2 * a2 * b),
+                  t * t * (-2 + 5 * a - 4 * a2 + a3),
+                  t * (-2 * a + b - a * b + 3 * a2 - a3),
+                  -2 * b + 2 * a * b - 2 * a2 + a3)
 
 
-def _check_covariance(a, b, blocks, stack) -> None:
-    # at the gains (a, b): the first vanishing denominator of the
-    # (block, den, label) triples, then an entry of stack that is not finite
-    for _, den, label in blocks:
-        if _vanishes(den):
-            raise DegenerateDenominator(
-                f"{label} = {float(den)} vanishes for alpha={float(a)}, beta={float(b)}")
+def _checked(a, b, stack, factors=_DENOMINATOR_CHECKS):
+    # stack, once the gains (a, b) pass the conditions of _gain_checks named in factors
+    # (those that keep its denominators nonzero) and its entries are finite
+    checks = _gain_checks(a, b)
+    for name in factors:
+        if not checks[name]:
+            raise DegenerateDenominator(f"{name} fails for alpha={float(a)}, beta={float(b)}: "
+                                        "a covariance denominator vanishes")
     if not _finite(stack):
         raise NonFiniteCovariance(
             f"steady covariance overflows for alpha={float(a)}, beta={float(b)}")
+    return stack
 
 
 def steady_mn(gains: SteadyStateGains, period: float, meas_var: float) -> np.ndarray:
     """Measurement-noise part of the steady updated covariance.
 
-    Closed-form fixed point of X = F X F' + K N K'; denominator
-    alpha (4 - 2 alpha - beta) must not vanish (DegenerateDenominator).
+    Closed-form fixed point of X = F X F' + K N K'; its denominator
+    alpha (4 - 2 alpha - beta) needs alpha_nonzero and beta_not_excluded
+    (DegenerateDenominator names the one that fails), not beta != 0.
     Raises NonFiniteCovariance when an entry overflows.
     """
-    return _one_block(_mn_block, gains, period, meas_var)
+    return _one_block(_mn_block, gains, period, meas_var, ("alpha_nonzero", "beta_not_excluded"))
 
 
 def steady_mq(gains: SteadyStateGains, period: float, process_var: float) -> np.ndarray:
     """Process-noise part of the steady updated covariance.
 
-    Closed-form fixed point of X = F X F' + L Q L'; denominator
-    alpha beta (beta + 2 alpha - 4) must not vanish (the three validity
-    conditions on the gains; DegenerateDenominator). Raises
+    Closed-form fixed point of X = F X F' + L Q L'; its denominator
+    alpha beta (beta + 2 alpha - 4) needs all three denominator conditions
+    (DegenerateDenominator names the first that fails). Raises
     NonFiniteCovariance when an entry overflows.
     """
     return _one_block(_mq_block, gains, period, process_var)
 
 
-def _one_block(block_fn, gains, period, variance):
+def _one_block(block_fn, gains, period, variance, factors=_DENOMINATOR_CHECKS):
     a, b = _points(gains.alpha, gains.beta)
     with np.errstate(all="ignore"):
-        block = block_fn(a, b, period, variance)
-    _check_covariance(a, b, [block], block[0])
-    return block[0]
+        return _checked(a, b, block_fn(a, b, period, variance), factors)
 
 
 @dataclass(frozen=True)
@@ -274,15 +269,14 @@ class SteadyStateCovariances:
 
 
 def _covariances(a, b, period, meas_var, process_var, bias_var):
-    # m_bar, m_dot, s_dot stacks and the two blocks they are built from
-    mn, mq = _mn_block(a, b, period, meas_var), _mq_block(a, b, period, process_var)
-    m_bar = mn[0] + mq[0]
+    # m_bar, m_dot, s_dot stacks
+    m_bar = _mn_block(a, b, period, meas_var) + _mq_block(a, b, period, process_var)
     phi = _transition(period)
     q = np.zeros(m_bar.shape)
     q[..., 1, 1] = process_var
     m_dot = phi @ m_bar @ phi.T + q
     s_dot = m_dot + np.array([[bias_var, 0.0], [0.0, 0.0]])
-    return (m_bar, m_dot, s_dot), (mn, mq)
+    return m_bar, m_dot, s_dot
 
 
 def predicted_covariances(gains: SteadyStateGains,
@@ -292,15 +286,14 @@ def predicted_covariances(gains: SteadyStateGains,
     m_bar is the updated noise covariance (measurement plus process
     parts); m_dot its one-step prediction Phi m_bar Phi' + Q; s_dot adds
     the bias variance to the position entry only, since the steady bias
-    sensitivity (-1, 0) is unchanged by Phi. Raises
-    DegenerateDenominator for a vanishing denominator and
-    NonFiniteCovariance when an entry overflows.
+    sensitivity (-1, 0) is unchanged by Phi. Raises DegenerateDenominator
+    as steady_mq does and NonFiniteCovariance when an entry overflows.
     """
     a, b = _points(gains.alpha, gains.beta)
     with np.errstate(all="ignore"):
-        (m_bar, m_dot, s_dot), blocks = _covariances(
+        m_bar, m_dot, s_dot = _covariances(
             a, b, config.period, config.meas_var, config.process_var, config.bias_var)
-    _check_covariance(a, b, blocks, s_dot)
+        _checked(a, b, s_dot)
     return SteadyStateCovariances(m_bar=m_bar, m_dot=m_dot, s_dot=s_dot)
 
 
@@ -312,8 +305,6 @@ class GainValidation:
     beta_nonzero: bool
     beta_not_excluded: bool
     stable: bool
-    mn_positive_definite: bool
-    mq_positive_definite: bool
 
     @property
     def ok(self) -> bool:
@@ -336,34 +327,17 @@ def _gain_checks(a, b, moduli=None) -> dict:
     }
 
 
-def _definite(block, variance) -> bool:
-    # a block with a vanishing denominator or an overflowed entry is not
-    # definite; a finite zero-variance block is exactly zero, which passes
-    if _vanishes(block[1]) or not _finite(block[0]):
-        return False
-    return not variance > 0 or bool(np.all(np.linalg.eigvalsh(block[0]) > 0))
+def validate_gains(gains: SteadyStateGains) -> GainValidation:
+    """Check the three denominator conditions and closed-loop stability.
 
-
-def validate_gains(gains: SteadyStateGains, config: SteadyStateConfig) -> GainValidation:
-    """Check the denominator conditions, stability and covariance definiteness.
-
-    The three denominator conditions are alpha != 0, beta != 0 and
-    beta != 4 - 2 alpha. Definiteness of a noise block is only required
-    when its driving variance is positive (a zero-variance block is
-    legitimately zero). Returns a report for any finite gains; a block
-    with a vanishing denominator or an entry that overflows is reported
-    as not definite.
+    The denominator conditions, alpha != 0, beta != 0 and beta != 4 - 2 alpha
+    (each by more than 1e-12), keep the covariance denominators nonzero.
+    ``solve_beta`` and ``gain_table`` apply the same four checks, so every
+    gain pair they return passes. Returns a report for any finite gains.
     """
-    a, b = _points(gains.alpha, gains.beta)
     with np.errstate(all="ignore"):
-        checks = {name: bool(passed) for name, passed in _gain_checks(a, b).items()}
-        mn_pd = mq_pd = False
-        if checks["alpha_nonzero"] and checks["beta_nonzero"] and checks["beta_not_excluded"]:
-            mn_pd = _definite(_mn_block(a, b, config.period, config.meas_var), config.meas_var)
-            mq_pd = _definite(_mq_block(a, b, config.period, config.process_var),
-                              config.process_var)
-    return GainValidation(**checks, mn_positive_definite=mn_pd,
-                          mq_positive_definite=mq_pd)
+        checks = _gain_checks(*_points(gains.alpha, gains.beta))
+    return GainValidation(**{name: bool(passed) for name, passed in checks.items()})
 
 
 def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
@@ -377,8 +351,8 @@ def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
     ``from_rho`` and ``predicted_covariances``, which run the same array
     code on one point. If any point fails, those functions are called on
     the first failing point in row-major order, so the error raised is
-    the one they raise for it: NoValidRoot, a ValueError from the config,
-    DegenerateDenominator or NonFiniteCovariance.
+    the one they raise for it: NoValidRoot, a ValueError from the config
+    or NonFiniteCovariance.
     """
     rho_axis = np.asarray(rhos, dtype=float).ravel()
     alpha_axis = np.asarray(alphas, dtype=float).ravel()
@@ -389,11 +363,8 @@ def gain_table(rhos, alphas, period: float = 1.0, meas_var: float = 1.0,
         process_var = rho * meas_var / (period * period)
         beta = _beta_root(alpha, rho)
         moduli = _moduli(alpha, beta)
-        (_, _, s_dot), (mn, mq) = _covariances(alpha, beta, period, meas_var, process_var,
-                                               bias_var)
-        ok = np.logical_and.reduce(
-            [*_gain_checks(alpha, beta, moduli).values(), _finite(s_dot),
-             ~_vanishes(mn[1]), ~_vanishes(mq[1])])
+        _, _, s_dot = _covariances(alpha, beta, period, meas_var, process_var, bias_var)
+        ok = np.logical_and.reduce([*_gain_checks(alpha, beta, moduli).values(), _finite(s_dot)])
         table = np.column_stack([rho, alpha, beta, *moduli,
                                  s_dot[:, 0, 0], s_dot[:, 1, 0], excluded_root(alpha)])
     if not ok.all():

@@ -75,7 +75,9 @@ MUTANTS = [
     # steady_state: tolerances and the root
     ("steady_state.py", "_ZERO_TOL = 1e-12", "_ZERO_TOL = 1e-10"),
     ("steady_state.py", "_ZERO_TOL = 1e-12", "_ZERO_TOL = 1e-14"),
-    ("steady_state.py", "return np.abs(den) < _ZERO_TOL", "return den == 0.0"),
+    ("steady_state.py",
+     '_DENOMINATOR_CHECKS = ("alpha_nonzero", "beta_nonzero", "beta_not_excluded")',
+     '_DENOMINATOR_CHECKS = ("alpha_nonzero", "beta_not_excluded")'),
     ("steady_state.py", "    return beta - f / (6 * beta * beta / scale + rho / scale * c1)",
      "    return beta"),
     ("steady_state.py", "scale = np.maximum(rho, 1.0)", "scale = 1.0"),
@@ -85,13 +87,11 @@ MUTANTS = [
     ("steady_state.py", "np.hypot(base - half, im)", "np.hypot(base - half, 0.0)"),
     ("steady_state.py", '"stable": np.maximum(*moduli) < 1.0,',
      '"stable": np.maximum(*moduli) <= 1.0,'),
-    ("steady_state.py", "eigvalsh(block[0]) > 0))", "eigvalsh(block[0]) >= 0))"),
-    ("steady_state.py", "return not variance > 0 or bool(", "return bool("),
-    ("steady_state.py", "if _vanishes(block[1]) or not _finite(block[0]):",
-     "if _vanishes(block[1]):"),
-    ("steady_state.py",
-     'if checks["alpha_nonzero"] and checks["beta_nonzero"] and checks["beta_not_excluded"]:',
-     "if True:"),
+    ("steady_state.py", "        if not checks[name]:\n", "        if False:\n"),
+    ("steady_state.py", '_one_block(_mn_block, gains, period, meas_var, ("alpha_nonzero", '
+     '"beta_not_excluded"))', "_one_block(_mn_block, gains, period, meas_var)"),
+    ("steady_state.py", '"beta_nonzero": np.abs(b) > _ZERO_TOL,', '"beta_nonzero": b != 0.0,'),
+    ("steady_state.py", "_checked(a, b, s_dot)", "_checked(a, b, s_dot, ())"),
     ("steady_state.py", "    if not _finite(stack):\n", "    if False:\n"),
     # steady_state: config checks
     ("steady_state.py", "if not rho >= 0:", "if False:"),
@@ -105,8 +105,8 @@ MUTANTS = [
     # steady_state: the gain table's noise-level check and point checks
     ("steady_state.py", "    SteadyStateConfig.from_rho(0.0, period, meas_var, bias_var)\n",
      "    pass\n"),
-    ("steady_state.py", "_finite(s_dot),\n             ~_vanishes(mn[1]), ~_vanishes(mq[1])])",
-     "_finite(s_dot)])"),
+    ("steady_state.py", "[*_gain_checks(alpha, beta, moduli).values(), _finite(s_dot)]",
+     "[_finite(s_dot)]"),
     # filter_core: the gain equation
     ("filter_core.py", "_GAIN_COND_LIMIT = 1e12", "_GAIN_COND_LIMIT = 1e13"),
     ("filter_core.py", "_GAIN_COND_LIMIT = 1e12", "_GAIN_COND_LIMIT = 1e11"),
@@ -196,6 +196,9 @@ MUTANTS = [
      "return m_cov + d.dot(model.bias_cov).dot(d.T)"),
     ("filter_core.py", "l_eff.dot(m_cov).dot(l_eff_t) + knk_t)", "l_eff.dot(m_cov).dot(l_eff_t))"),
     ("filter_core.py", "d = l_eff.dot(d) - k_wjb", "d = l_eff.dot(d) + k_wjb"),
+    # appended: the scenario's integer counts
+    ("sim_harness.py", "if isinstance(value, bool) or not (", "if not ("),
+    ("sim_harness.py", 'or name == "burn_in" and value is None', 'or value is None'),
 ]
 
 

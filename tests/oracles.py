@@ -407,6 +407,12 @@ def iterate_lyapunov(f, g, iterations=4000):
     return x
 
 
+def solve_lyapunov(f, g):
+    """Solution of X = F X F' + G by the direct Kronecker-product solve of (I - F (x) F) x = g."""
+    n = len(f)
+    return np.linalg.solve(np.eye(n * n) - np.kron(f, f), g.ravel()).reshape(n, n)
+
+
 def gain_grid_reference(rhos, alphas, period, meas_var, bias_var):
     """Gain-table rows (beta, sorted eigenvalue moduli, S11dot, S21dot), point by point.
 
@@ -425,7 +431,7 @@ def gain_grid_reference(rhos, alphas, period, meas_var, bias_var):
             el = np.eye(2) - k @ np.array([[1.0, 0.0]])
             f = el @ phi
             g = k @ k.T * meas_var + el @ q @ el.T
-            m_bar = np.linalg.solve(np.eye(4) - np.kron(f, f), g.ravel()).reshape(2, 2)
+            m_bar = solve_lyapunov(f, g)
             s_dot = phi @ m_bar @ phi.T + q + np.diag([bias_var, 0.0])
             moduli = sorted(np.abs(np.linalg.eigvals(f)))
             rows.append([b, *moduli, s_dot[0, 0], s_dot[1, 0]])

@@ -214,15 +214,13 @@ def test_criterion_7_coordinate_round_trips():
 
 
 def test_criterion_8_degenerate_gain_rejection():
-    cfg = ss.SteadyStateConfig.from_rho(2.0)
     for alpha in (0.2, 0.7, 1.3):
-        at_excluded = ss.validate_gains(
-            ss.SteadyStateGains(alpha, 4.0 - 2.0 * alpha), cfg)
+        at_excluded = ss.validate_gains(ss.SteadyStateGains(alpha, 4.0 - 2.0 * alpha))
         assert not at_excluded.ok
         assert not at_excluded.beta_not_excluded
         assert at_excluded.alpha_nonzero and at_excluded.beta_nonzero
 
-        at_zero = ss.validate_gains(ss.SteadyStateGains(alpha, 0.0), cfg)
+        at_zero = ss.validate_gains(ss.SteadyStateGains(alpha, 0.0))
         assert not at_zero.ok
         assert not at_zero.beta_nonzero
         assert at_zero.alpha_nonzero and at_zero.beta_not_excluded

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radarbias import filter_core as fc
@@ -604,6 +604,7 @@ def oracle_trace(model, state, gain):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3), p=st.integers(1, 2),
        fixed=st.booleans())
+@example(seed=1729, q=1, p=1, fixed=False)
 def test_linear_bias_models_match_the_augmented_oracle(seed, q, p, fixed):
     """Each field follows the augmented-state oracle over 200 steps, and ``optimal_gain``
     is a stationary point of the oracle's posterior trace."""
@@ -631,7 +632,9 @@ def test_linear_bias_models_match_the_augmented_oracle(seed, q, p, fixed):
         state = fc.step(model, state, z, gain=gain)
         for name, ref in zip(STATE_FIELDS, want):
             got = getattr(state, name)
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (k, name)
+            # x's rounding follows the innovation, which does not vanish with x
+            scale = max(np.abs(ref).max(), np.abs(z).max()) if name == "x" else np.abs(ref).max()
+            assert np.abs(got - ref).max() <= 1e-12 * scale, (k, name)
 
 
 STATE_FIELDS = ("x", "noise_cov", "bias_sens", "total_cov", "gain")

@@ -69,6 +69,22 @@ class TestScenario:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be an object, got {value!r}')}$"):
             sim.SimScenario.from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("burn_in", 2.5), ("n_runs", 10.5), ("n_steps", 10.5), ("master_seed", 1.5),
+        ("n_runs", True), ("burn_in", False), ("n_steps", np.True_), ("master_seed", "1"),
+        ("n_runs", None), ("n_steps", 100.0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        # the constructor converts nothing: a fractional burn_in would average
+        # fewer samples than n_samples counts
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            scenario(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        got = scenario(n_runs=np.int64(2000), n_steps=np.int32(100), master_seed=np.uint8(42),
+                       burn_in=np.int16(10))
+        assert got == scenario(burn_in=10)
+
     def test_integral_floats_accepted(self):
         doc = scenario_doc()
         doc.update(n_runs=2e4, n_steps=100.0, master_seed=42.0, burn_in=1e1)
@@ -212,6 +228,17 @@ class TestMonteCarlo:
             gains=ss.SteadyStateGains(0.5, 0.2), n_runs=1, n_steps=2, master_seed=7, burn_in=1)
         with pytest.raises(NonFiniteCovariance, match="relative error overflows"):
             sim.run_monte_carlo(run)
+
+    def test_unit_alpha_meets_criterion_6(self):
+        # at alpha 1 an update leaves no process noise in the position error, so M_q
+        # is singular; the gate reads the gains alone and passes it
+        gains = ss.SteadyStateGains(1.0, ss.solve_beta(1.0, 2.0))
+        assert ss.steady_mq(gains, 1.0, 2.0)[0, 0] == 0.0
+        report = sim.run_monte_carlo(sim.SimScenario(
+            config=ss.SteadyStateConfig(period=1.0, meas_var=1.0, process_var=2.0, bias_var=4.0),
+            gains=gains, n_runs=20_000, n_steps=200, master_seed=20260809))
+        assert abs(report.relative_errors[0, 0]) < 0.05
+        assert abs(report.relative_errors[1, 0]) < 0.10
 
     def test_invalid_gains_rejected(self):
         bad = sim.SimScenario(

@@ -17,8 +17,7 @@ def fbar_moduli(alpha, beta):
 
 
 def is_stable(alpha, beta):
-    return ss.validate_gains(ss.SteadyStateGains(alpha, beta),
-                             ss.SteadyStateConfig.from_rho(2.0)).stable
+    return ss.validate_gains(ss.SteadyStateGains(alpha, beta)).stable
 
 
 class TestEigenvalues:
@@ -71,8 +70,7 @@ class TestSolveBeta:
         beta = ss.solve_beta(alpha, rho)
         assert abs(beta - beta_table) < 5e-5
         assert abs(oracles.gain_polynomial(alpha, beta, rho)) < 1e-10
-        report = ss.validate_gains(ss.SteadyStateGains(alpha, beta),
-                                   ss.SteadyStateConfig.from_rho(rho))
+        report = ss.validate_gains(ss.SteadyStateGains(alpha, beta))
         assert report.ok, report.failures
 
     def test_monotone_in_noise_ratio(self):
@@ -226,26 +224,23 @@ class TestPredictedCovariances:
 
 
 class TestValidateGains:
-    def cfg(self):
-        return ss.SteadyStateConfig.from_rho(2.0)
-
     def test_excluded_root_fails_condition_three(self):
-        report = ss.validate_gains(ss.SteadyStateGains(0.2, 3.6), self.cfg())
+        report = ss.validate_gains(ss.SteadyStateGains(0.2, 3.6))
         assert not report.beta_not_excluded
         assert not report.ok
         assert "beta_not_excluded" in report.failures
 
     def test_valid_pair_passes_everything(self):
-        report = ss.validate_gains(ss.SteadyStateGains(0.2, 0.04385), self.cfg())
+        report = ss.validate_gains(ss.SteadyStateGains(0.2, 0.04385))
         assert report.ok
 
     def test_zero_beta_fails_condition_two(self):
-        report = ss.validate_gains(ss.SteadyStateGains(0.2, 0.0), self.cfg())
+        report = ss.validate_gains(ss.SteadyStateGains(0.2, 0.0))
         assert not report.beta_nonzero
         assert "beta_nonzero" in report.failures
 
     def test_zero_alpha_fails_condition_one(self):
-        report = ss.validate_gains(ss.SteadyStateGains(0.0, 0.1), self.cfg())
+        report = ss.validate_gains(ss.SteadyStateGains(0.0, 0.1))
         assert not report.alpha_nonzero
 
 
@@ -401,13 +396,18 @@ class TestGainTable:
             ss.gain_table(rhos, alphas, **noise)
         assert type(info.value) is ValueError and str(info.value) == message
 
-    def test_degenerate_denominator_matches_scalar(self):
-        beta = ss.solve_beta(2e-6, 1e3)
-        with pytest.raises(DegenerateDenominator) as scalar:
-            ss.steady_mq(ss.SteadyStateGains(2e-6, beta), 1.0, 1e3)
-        with pytest.raises(DegenerateDenominator) as table:
-            ss.gain_table([1e3], [0.3, 2e-6])
-        assert str(table.value) == str(scalar.value)
+    @pytest.mark.parametrize("alpha, rho", [(3e-5, 1.0), (2e-6, 1e3)])
+    def test_tiny_alpha_matches_a_direct_lyapunov_solve(self, alpha, rho):
+        # alpha beta (beta + 2 alpha - 4) is below 1e-12 here, while each factor passes
+        gains = ss.SteadyStateGains(alpha, ss.solve_beta(alpha, rho))
+        cfg = ss.SteadyStateConfig.from_rho(rho)
+        cov = ss.predicted_covariances(gains, cfg)
+        k, el = ss.kbar(gains, 1.0), oracles.lbar(gains, 1.0)
+        q = np.array([[0.0, 0.0], [0.0, cfg.process_var]])
+        direct = oracles.solve_lyapunov(ss.fbar(gains, 1.0),
+                                        np.outer(k, k) * cfg.meas_var + el @ q @ el.T)
+        np.testing.assert_allclose(cov.m_bar, direct, rtol=1e-9)
+        assert ss.gain_table([rho], [0.3, alpha])[1, 5] == cov.s_dot[0, 0]
 
     def test_overflowing_covariance_raises(self):
         rho = 1.7976931348623157e308
@@ -421,45 +421,52 @@ class TestGainTable:
 
 class TestValidateGainsNeverRaises:
     def test_overflowing_gain(self):
-        report = ss.validate_gains(ss.SteadyStateGains(1e110, 0.5),
-                                   ss.SteadyStateConfig.from_rho(2.0))
+        report = ss.validate_gains(ss.SteadyStateGains(1e110, 0.5))
         assert not report.stable
-        assert not report.mq_positive_definite
+        assert report.failures == ("stable",)
 
-    def test_degenerate_denominator_is_not_definite(self):
-        # passes checks 1-3 while alpha beta (beta + 2 alpha - 4) vanishes
-        report = ss.validate_gains(ss.SteadyStateGains(1e-7, 1e-7),
-                                   ss.SteadyStateConfig.from_rho(2.0))
-        assert report.alpha_nonzero and report.beta_nonzero and report.beta_not_excluded
-        assert not report.mq_positive_definite
+    def test_tiny_gains_pass_every_condition(self):
+        # alpha beta (beta + 2 alpha - 4) is -4e-14, but no factor vanishes
+        gains = ss.SteadyStateGains(1e-7, 1e-7)
+        assert ss.validate_gains(gains).ok
+        assert np.isfinite(ss.steady_mq(gains, 1.0, 2.0)).all()
+
+
+def predicted_covariances(gains, period, variance):
+    """``predicted_covariances`` called as the blocks are, with one variance for all noises."""
+    return ss.predicted_covariances(gains, ss.SteadyStateConfig(period, variance, variance))
 
 
 class TestDefiniteness:
-    """validate_gains' definiteness rules, one input on each side."""
+    """No definiteness verdict: the gate reads the gains alone, and a block is judged
+    only where it is formed, by its denominator conditions and finiteness."""
 
     GAINS = ss.SteadyStateGains(0.5, 0.2)
 
     def test_zero_variance_block_is_zero_and_passes(self):
-        report = ss.validate_gains(self.GAINS, ss.SteadyStateConfig(1.0, 1.0, 0.0))
-        assert report.ok and report.mq_positive_definite
-
-    def test_positive_variance_block_that_underflows_to_zero_fails(self):
-        report = ss.validate_gains(self.GAINS, ss.SteadyStateConfig(1.0, 5e-324, 1.0))
-        assert not report.mn_positive_definite and report.mq_positive_definite
+        assert ss.validate_gains(self.GAINS).ok
+        cov = ss.predicted_covariances(self.GAINS, ss.SteadyStateConfig(1.0, 1.0, 0.0))
+        np.testing.assert_array_equal(cov.m_bar, ss.steady_mn(self.GAINS, 1.0, 1.0))
 
     def test_zero_variance_block_that_overflows_fails(self):
         # 0 * inf: the block is nan, not zero
-        report = ss.validate_gains(ss.SteadyStateGains(1e200, 0.2),
-                                   ss.SteadyStateConfig(1.0, 0.0, 1.0))
-        assert not report.mn_positive_definite
+        with pytest.raises(NonFiniteCovariance):
+            ss.steady_mn(ss.SteadyStateGains(1e200, 0.2), 1.0, 0.0)
 
-    def test_blocks_not_judged_when_a_denominator_condition_fails(self):
-        # with beta 0 the measurement block is a finite zero-variance block, which
-        # would pass; it is reported as not definite with the failed condition
-        report = ss.validate_gains(ss.SteadyStateGains(0.5, 0.0),
-                                   ss.SteadyStateConfig(1.0, 0.0, 1.0))
-        assert report.failures == ("beta_nonzero", "stable", "mn_positive_definite",
-                                   "mq_positive_definite")
+    @pytest.mark.parametrize("alpha, beta, block, failed", [
+        (0.5, 0.0, ss.steady_mq, "beta_nonzero"),
+        (0.5, 1e-13, predicted_covariances, "beta_nonzero"),
+        (0.0, 0.5, ss.steady_mn, "alpha_nonzero"),
+        (0.0, 0.5, ss.steady_mq, "alpha_nonzero"),
+        (0.5, 3.0, ss.steady_mn, "beta_not_excluded"),
+        (0.5, 3.0 + 1e-13, ss.steady_mq, "beta_not_excluded"),
+    ])
+    def test_each_block_names_its_failed_condition(self, alpha, beta, block, failed):
+        # each factor of a denominator is judged as validate_gains judges it, by its
+        # 1e-12 margin; beta = 0 leaves the measurement block defined
+        with pytest.raises(DegenerateDenominator, match=f"^{failed} fails for alpha={alpha}, "):
+            block(ss.SteadyStateGains(alpha, beta), 1.0, 1.0)
+        assert failed in ss.validate_gains(ss.SteadyStateGains(alpha, beta)).failures
 
 
 def test_from_rho_names_a_negative_rho():
