@@ -108,11 +108,7 @@ def spherical_to_cartesian(point: SphericalTriple) -> np.ndarray:
     """Map (r, azimuth, elevation) to rectangular [x, y, z]."""
     r, psi, theta = point.range_m, point.azimuth, point.elevation
     c_el = math.cos(theta)
-    return np.array([
-        r * c_el * math.cos(psi),
-        r * c_el * math.sin(psi),
-        r * math.sin(theta),
-    ])
+    return np.array([r * c_el * math.cos(psi), r * c_el * math.sin(psi), r * math.sin(theta)])
 
 
 def cartesian_to_spherical(point) -> SphericalTriple:
@@ -144,8 +140,7 @@ def cartesian_to_spherical(point) -> SphericalTriple:
 def _pointing_rows(c_psi, s_psi, c_th, s_th) -> tuple:
     # the along, cross-azimuth and elevation unit rows at azimuth psi and
     # elevation theta; dtype-generic, so each caller keeps its own trigonometry
-    return ((c_th * c_psi, c_th * s_psi, s_th),
-            (-s_psi, c_psi, 0.0),
+    return ((c_th * c_psi, c_th * s_psi, s_th), (-s_psi, c_psi, 0.0),
             (-s_th * c_psi, -s_th * s_psi, c_th))
 
 
@@ -212,9 +207,8 @@ def _site_frame_ld(site: GeodeticSite, earth: EarthModel) -> tuple[np.ndarray, n
     return frame
 
 
-def enu1_position_to_enu2(
-    p_enu1, site1: GeodeticSite, site2: GeodeticSite, earth: EarthModel = WGS84
-) -> np.ndarray:
+def enu1_position_to_enu2(p_enu1, site1: GeodeticSite, site2: GeodeticSite,
+                          earth: EarthModel = WGS84) -> np.ndarray:
     """Full position transform (rotation plus translation) from ENU(1) to ENU(2).
 
     Returns an ``np.longdouble`` array; see the module note on precision.
@@ -225,9 +219,8 @@ def enu1_position_to_enu2(
     return r2.dot(r1.T.dot(p) + (origin1 - origin2))
 
 
-def enu2_position_to_enu1(
-    p_enu2, site1: GeodeticSite, site2: GeodeticSite, earth: EarthModel = WGS84
-) -> np.ndarray:
+def enu2_position_to_enu1(p_enu2, site1: GeodeticSite, site2: GeodeticSite,
+                          earth: EarthModel = WGS84) -> np.ndarray:
     """Inverse of enu1_position_to_enu2."""
     return enu1_position_to_enu2(p_enu2, site2, site1, earth)
 

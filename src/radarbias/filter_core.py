@@ -25,14 +25,20 @@ The public functions wrap private helpers on a state's arrays, so ``step``
 forms no predicted FilterState, and with a fixed gain no predicted S.
 State-free terms are kept on the model, outside its fields (so equality,
 ``repr``, copies and pickles do not see them), and its arrays are
-read-only copies, so they cannot go stale. The model keeps Phi'. While
+read-only copies, so they cannot go stale. The model keeps Phi'/2, Q/2,
+N/2 and a root R of Lambda (R R' = Lambda, from its eigenvalues). While
 both Jacobians return the values (dtype, shape, bytes) of the model's
 last call, He, He', W J_b, Ne = N + W J_b Lambda (W J_b)' and
 Lambda (W J_b)' are reused. Every measurement update also reuses L_e,
-L_e', K N K' and K W J_b while its gain has the bytes of the last
+L_e'/2, K N K'/2 and K W J_b while its gain has the bytes of the last
 update's gain and the measurement terms were reused: a fixed gain hits,
 an optimal gain, which changes each step, forms them afresh. A miss runs
 the same products, so the outputs are the same to the bit.
+
+Every M and S is built exactly symmetric: M = H + H' with H = Phi M (Phi'/2)
++ Q/2 or L_e M (L_e'/2) + K N K'/2, each entry 0.5 (A + A') of the full sum A to
+the bit (halving is exact, barring subnormals), and S = M + E E' with E = D R,
+whose entries (i, j) and (j, i) numpy forms as one sum.
 
 The gain equation is solved directly for a scalar measurement (q = 1):
 the 1 x 1 bracket is accepted when it is finite and nonzero, which is
@@ -53,6 +59,8 @@ import numpy as np
 from .errors import DimensionMismatch, SingularInnovation
 
 _GAIN_COND_LIMIT = 1e12
+# np.array's "copy only if needed": copy=None from numpy 2, copy=False before
+_IF_NEEDED = None if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False
 
 # The matrices here are a few rows wide, so a product costs its call
 # overhead, not its arithmetic. ndarray.dot has about half the overhead of
@@ -60,11 +68,10 @@ _GAIN_COND_LIMIT = 1e12
 # numpy 2.4), so the per-step recursions use it.
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    # floating-point drift control, in place on a temporary; it rounds as
-    # 0.5 * (a + a.T) does, and the copy avoids a slower mixed-stride add
-    a += a.T.copy()
-    a *= 0.5
+def _plus_transpose(h: np.ndarray) -> np.ndarray:
+    # H + H', added onto a contiguous copy of H', since a mixed-stride add is slower
+    a = h.T.copy()
+    a += h
     return a
 
 
@@ -77,7 +84,10 @@ class BiasFilterModel:
     ``bias_fn(x, lam) -> (m,)`` with Jacobians ``bias_jac_state -> (m, n)``
     and ``bias_jac_bias -> (m, p)`` supplied by the caller; no automatic
     differentiation is attempted. The seven arrays are kept as read-only
-    float copies.
+    float copies. ``bias_cov`` must be finite, symmetric to 1e-12 of its
+    largest entry and positive semidefinite: an eigenvalue below zero by
+    at most 1e-12 of the largest is taken as 0, and anything else raises
+    ValueError naming ``bias_cov``.
     """
 
     transition: np.ndarray
@@ -101,7 +111,15 @@ class BiasFilterModel:
                 raise DimensionMismatch(f"{f.name} has shape {arr.shape}, expected {want}")
             arr.flags.writeable = False
             object.__setattr__(self, f.name, arr)
-        vars(self).update(_eye=np.eye(n), _phi_t=self.transition.T)
+        lam = self.bias_cov
+        if not np.isfinite(lam).all() or np.abs(lam - lam.T).max() > 1e-12 * np.abs(lam).max():
+            raise ValueError("bias_cov must be finite and symmetric")
+        w, v = np.linalg.eigh(lam)  # which reads only the lower triangle
+        if w.min() < -1e-12 * np.abs(w).max():
+            raise ValueError(f"bias_cov must be positive semidefinite (eigenvalue {w.min():.3g})")
+        vars(self).update(_eye=np.eye(n), _phi_t_half=(self.transition * 0.5).T,
+                          _q_half=self.process_noise * 0.5, _n_half=self.meas_noise * 0.5,
+                          _bias_root=v * np.sqrt(np.maximum(w, 0.0)))
 
     def __getstate__(self):
         # the kept terms are derived: a copy or unpickled model forms them again
@@ -148,22 +166,23 @@ class FilterState:
         x = np.asarray(x0, dtype=float)
         if x.shape != (n,):
             raise DimensionMismatch(f"x0 has shape {x.shape}, expected {(n,)}")
-        m_cov = np.eye(n) * 1e6 if noise_cov is None else np.array(noise_cov, dtype=float)
+        m_cov = np.eye(n) * 1e6 if noise_cov is None else np.asarray(noise_cov, dtype=float)
         if m_cov.shape != (n, n):
             raise DimensionMismatch(f"noise_cov has shape {m_cov.shape}, expected {(n, n)}")
-        _symmetrize(m_cov)
+        m_cov = _plus_transpose(m_cov * 0.5)
         return cls(x=x, noise_cov=m_cov, bias_sens=np.zeros((n, p)), total_cov=m_cov.copy())
 
 
 def _total(model: BiasFilterModel, m_cov, d) -> np.ndarray:
-    # S = M + D Lambda D', the one form of the total covariance
-    return _symmetrize(m_cov + d.dot(model.bias_cov).dot(d.T))
+    # S = M + D Lambda D' as M + E E' with E = D R, the one form of the total covariance
+    e = d.dot(vars(model)["_bias_root"])
+    return m_cov + e.dot(e.T)
 
 
 def _predict(model: BiasFilterModel, state: FilterState):
     # the predicted x, M and D of a posterior state, as arrays
-    phi, phi_t = model.transition, vars(model)["_phi_t"]
-    m_cov = _symmetrize(phi.dot(state.noise_cov).dot(phi_t) + model.process_noise)
+    phi, kept = model.transition, vars(model)
+    m_cov = _plus_transpose(phi.dot(state.noise_cov).dot(kept["_phi_t_half"]) + kept["_q_half"])
     return phi.dot(state.x), m_cov, phi.dot(state.bias_sens)
 
 
@@ -180,8 +199,8 @@ def time_update(model: BiasFilterModel, state: FilterState) -> FilterState:
 def _pieces(model: BiasFilterModel, x):
     # evaluated once per predicted state; shared by gain and update. The
     # state-free terms are kept on the model while the Jacobians repeat.
-    jac_bias = np.array(model.bias_jac_bias(x, model.bias_mean), ndmin=2)
-    jac_state = np.array(model.bias_jac_state(x, model.bias_mean), ndmin=2)
+    jac_bias = np.array(model.bias_jac_bias(x, model.bias_mean), ndmin=2, copy=_IF_NEEDED)
+    jac_state = np.array(model.bias_jac_state(x, model.bias_mean), ndmin=2, copy=_IF_NEEDED)
     key = (jac_bias.dtype, jac_bias.shape, jac_bias.tobytes(),
            jac_state.dtype, jac_state.shape, jac_state.tobytes())
     kept = vars(model).get("_pieces")
@@ -222,7 +241,7 @@ def _optimal_gain(model: BiasFilterModel, m_cov, d, terms) -> np.ndarray:
             raise SingularInnovation(
                 f"innovation bracket is numerically singular (scalar bracket {value:.3g})")
         return rhs / value
-    bracket = _symmetrize(bracket)
+    bracket = _plus_transpose(bracket * 0.5)
     if not np.isfinite(bracket).all():
         raise SingularInnovation("innovation bracket is not finite")
     cond = np.linalg.cond(bracket)
@@ -232,8 +251,7 @@ def _optimal_gain(model: BiasFilterModel, m_cov, d, terms) -> np.ndarray:
     return np.linalg.solve(bracket, rhs.T).T
 
 
-def measurement_update(model: BiasFilterModel, state: FilterState, z,
-                       gain) -> FilterState:
+def measurement_update(model: BiasFilterModel, state: FilterState, z, gain) -> FilterState:
     """Fold one measurement into a predicted state with the n x q ``gain`` K.
 
     The estimate moves by K times the innovation z - H x - W u(x, mean).
@@ -253,32 +271,30 @@ def _gain_terms(model: BiasFilterModel, k_gain: np.ndarray, terms):
         output_eff, _, w_jb, _, _ = terms
         l_eff = vars(model)["_eye"] - k_gain.dot(output_eff)  # I - K (H + W du/dx)
         kept = vars(model)["_gain"] = (key, terms, (
-            l_eff, l_eff.T, k_gain.dot(model.meas_noise).dot(k_gain.T), k_gain.dot(w_jb)))
+            l_eff, (l_eff * 0.5).T, k_gain.dot(vars(model)["_n_half"]).dot(k_gain.T),
+            k_gain.dot(w_jb)))
     return kept[2]
 
 
-def _measurement_update(model: BiasFilterModel, x, m_cov, d, gain, z,
-                        terms) -> FilterState:
+def _measurement_update(model: BiasFilterModel, x, m_cov, d, gain, z, terms) -> FilterState:
     # the update of a prediction's arrays with ``gain``, which the result carries
-    k_gain = np.array(gain, dtype=float, ndmin=2)
+    k_gain = np.array(gain, dtype=float, ndmin=2, copy=_IF_NEEDED)
     q, n = model.output.shape
     if k_gain.shape != (n, q):
         raise DimensionMismatch(f"gain has shape {k_gain.shape}, expected {(n, q)}")
     z = np.array(z, dtype=float, ndmin=1)
     if z.shape != (q,):
         raise DimensionMismatch(f"measurement has shape {z.shape}, expected {(q,)}")
-
     predicted_meas = model.output.dot(x) + model.bias_matrix.dot(np.array(
-        model.bias_fn(x, model.bias_mean), ndmin=1))
+        model.bias_fn(x, model.bias_mean), ndmin=1, copy=_IF_NEEDED))
     x = x + k_gain.dot(z - predicted_meas)
-    l_eff, l_eff_t, knk_t, k_wjb = _gain_terms(model, k_gain, terms)
-    m_cov = _symmetrize(l_eff.dot(m_cov).dot(l_eff_t) + knk_t)
+    l_eff, l_eff_t_half, knk_t_half, k_wjb = _gain_terms(model, k_gain, terms)
+    m_cov = _plus_transpose(l_eff.dot(m_cov).dot(l_eff_t_half) + knk_t_half)
     d = l_eff.dot(d) - k_wjb
     return FilterState(x, m_cov, d, _total(model, m_cov, d), np.asarray(gain, dtype=float))
 
 
-def step(model: BiasFilterModel, state: FilterState, z,
-         gain=None) -> FilterState:
+def step(model: BiasFilterModel, state: FilterState, z, gain=None) -> FilterState:
     """One predict-and-update cycle from a posterior state.
 
     Uses the supplied fixed gain, or the trace-optimal gain of the

@@ -39,7 +39,7 @@ _JAC_STATE.flags.writeable = _JAC_BIAS.flags.writeable = False
 
 
 def _additive_bias(x, lam):
-    return np.atleast_1d(lam)
+    return lam
 
 
 def _additive_bias_jac_state(x, lam):
@@ -99,17 +99,12 @@ class SteadyStateConfig:
     def to_filter_model(self) -> filter_core.BiasFilterModel:
         """The equivalent two-state bias filter model (scalar additive bias)."""
         return filter_core.BiasFilterModel(
-            transition=_transition(self.period),
-            output=np.array([[1.0, 0.0]]),
+            transition=_transition(self.period), output=np.array([[1.0, 0.0]]),
             bias_matrix=np.array([[1.0]]),
             process_noise=np.array([[0.0, 0.0], [0.0, self.process_var]]),
-            meas_noise=np.array([[self.meas_var]]),
-            bias_cov=np.array([[self.bias_var]]),
-            bias_mean=np.zeros(1),
-            bias_fn=_additive_bias,
-            bias_jac_state=_additive_bias_jac_state,
-            bias_jac_bias=_additive_bias_jac_bias,
-        )
+            meas_noise=np.array([[self.meas_var]]), bias_cov=np.array([[self.bias_var]]),
+            bias_mean=np.zeros(1), bias_fn=_additive_bias,
+            bias_jac_state=_additive_bias_jac_state, bias_jac_bias=_additive_bias_jac_bias)
 
 
 @dataclass(frozen=True)
@@ -212,8 +207,7 @@ def _mq_block(a, b, t, process_var):
     # steady_mq's block, elementwise
     a2, a3 = a * a, a * a * a
     return _block(process_var / (-4 * a * b + a * b * b + 2 * a2 * b),
-                  t * t * (-2 + 5 * a - 4 * a2 + a3),
-                  t * (-2 * a + b - a * b + 3 * a2 - a3),
+                  t * t * (-2 + 5 * a - 4 * a2 + a3), t * (-2 * a + b - a * b + 3 * a2 - a3),
                   -2 * b + 2 * a * b - 2 * a2 + a3)
 
 
@@ -319,12 +313,9 @@ def _gain_checks(a, b, moduli=None) -> dict:
     # the three denominator conditions and closed-loop stability, keyed by
     # their GainValidation field names, elementwise over gain arrays
     moduli = _moduli(a, b) if moduli is None else moduli
-    return {
-        "alpha_nonzero": np.abs(a) > _ZERO_TOL,
-        "beta_nonzero": np.abs(b) > _ZERO_TOL,
-        "beta_not_excluded": np.abs(b - excluded_root(a)) > _ZERO_TOL,
-        "stable": np.maximum(*moduli) < 1.0,
-    }
+    return {"alpha_nonzero": np.abs(a) > _ZERO_TOL, "beta_nonzero": np.abs(b) > _ZERO_TOL,
+            "beta_not_excluded": np.abs(b - excluded_root(a)) > _ZERO_TOL,
+            "stable": np.maximum(*moduli) < 1.0}
 
 
 def validate_gains(gains: SteadyStateGains) -> GainValidation:

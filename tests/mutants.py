@@ -85,8 +85,8 @@ MUTANTS = [
     # steady_state: validity checks
     ("steady_state.py", "im = np.sqrt(np.maximum(-radicand, 0.0)) / 2.0", "im = 0.0"),
     ("steady_state.py", "np.hypot(base - half, im)", "np.hypot(base - half, 0.0)"),
-    ("steady_state.py", '"stable": np.maximum(*moduli) < 1.0,',
-     '"stable": np.maximum(*moduli) <= 1.0,'),
+    ("steady_state.py", '"stable": np.maximum(*moduli) < 1.0',
+     '"stable": np.maximum(*moduli) <= 1.0'),
     ("steady_state.py", "        if not checks[name]:\n", "        if False:\n"),
     ("steady_state.py", '_one_block(_mn_block, gains, period, meas_var, ("alpha_nonzero", '
      '"beta_not_excluded"))', "_one_block(_mn_block, gains, period, meas_var)"),
@@ -192,9 +192,10 @@ MUTANTS = [
     ("sim_harness.py", "except (MemoryError, ValueError):", "except MemoryError:"),
     ("registration.py", "    except TypeError:", "    except ZeroDivisionError:"),
     # appended: the filter's one form of S, and the M and D updates
-    ("filter_core.py", "return _symmetrize(m_cov + d.dot(model.bias_cov).dot(d.T))",
+    ("filter_core.py", "return m_cov + e.dot(e.T)",
      "return m_cov + d.dot(model.bias_cov).dot(d.T)"),
-    ("filter_core.py", "l_eff.dot(m_cov).dot(l_eff_t) + knk_t)", "l_eff.dot(m_cov).dot(l_eff_t))"),
+    ("filter_core.py", "l_eff.dot(m_cov).dot(l_eff_t_half) + knk_t_half)",
+     "l_eff.dot(m_cov).dot(l_eff_t_half))"),
     ("filter_core.py", "d = l_eff.dot(d) - k_wjb", "d = l_eff.dot(d) + k_wjb"),
     # appended: the scenario's integer counts
     ("sim_harness.py", "if isinstance(value, bool) or not (", "if not ("),

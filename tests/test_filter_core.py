@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from radarbias import filter_core as fc
@@ -76,6 +76,23 @@ def state_dependent_model():
     )
 
 
+def full_bias_cov_model():
+    # u(x, lam) = U x + lam with a full 2 x 2 Lambda, so its root is not diagonal
+    u_mat = np.array([[0.1, 0.0], [0.05, -0.02]])
+    return fc.BiasFilterModel(
+        transition=np.array([[1.0, 0.5], [0.0, 0.9]]),
+        output=np.array([[1.0, 0.0]]),
+        bias_matrix=np.array([[1.0, 0.5]]),
+        process_noise=np.array([[0.01, 0.0], [0.0, 0.2]]),
+        meas_noise=np.array([[0.8]]),
+        bias_cov=np.array([[1.5, 0.6], [0.6, 0.8]]),
+        bias_mean=np.array([0.5, -0.3]),
+        bias_fn=lambda x, lam: u_mat @ x + lam,
+        bias_jac_state=lambda x, lam: u_mat,
+        bias_jac_bias=lambda x, lam: np.eye(2),
+    )
+
+
 class TestModelValidation:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):
@@ -111,6 +128,29 @@ class TestModelValidation:
         with pytest.raises(DimensionMismatch,
                            match=rf"^noise_cov has shape {shape}, expected \(2, 2\)$"):
             fc.FilterState.initial(cv_model(), [0.0, 0.0], noise_cov=prior)
+
+    @pytest.mark.parametrize("bias_cov, message", [
+        ([[np.nan]], "finite and symmetric"),
+        ([[np.inf]], "finite and symmetric"),
+        ([[1.0, 0.5], [0.4, 1.0]], "finite and symmetric"),
+        ([[1.0, 0.5 + 1e-11], [0.5, 1.0]], "finite and symmetric"),
+        ([[-4.0]], r"positive semidefinite \(eigenvalue -4\)"),
+        ([[1.0, 2.0], [2.0, 1.0]], r"positive semidefinite \(eigenvalue -1\)"),
+        ([[1.0, 0.0], [0.0, -1e-11]], "positive semidefinite"),
+    ])
+    def test_bias_cov_must_be_finite_symmetric_and_semidefinite(self, bias_cov, message):
+        # a root of Lambda needs it; unchecked, Lambda = -4 ran and gave S11 = -0.25
+        make_model = cv_model if len(bias_cov) == 1 else full_bias_cov_model
+        with pytest.raises(ValueError, match=f"^bias_cov must be {message}"):
+            replace(make_model(), bias_cov=np.array(bias_cov))
+
+    @pytest.mark.parametrize("bias_cov", [[[1.0, 0.5 + 1e-13], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
+                                          [[1.0, 0.0], [0.0, -1e-13]], [[0.0, 0.0], [0.0, 0.0]]])
+    def test_bias_cov_within_rounding_of_semidefinite_is_accepted(self, bias_cov):
+        # an eigenvalue below zero by at most 1e-12 of the largest is taken as 0
+        model = replace(full_bias_cov_model(), bias_cov=np.array(bias_cov))
+        root = vars(model)["_bias_root"]
+        np.testing.assert_allclose(root @ root.T, np.clip(bias_cov, 0.0, None), atol=1e-12)
 
     @pytest.mark.parametrize("gain", [[[0.1, 0.1]], [0.1, 0.1, 0.1]])
     def test_gain_shape_checked(self, gain):
@@ -158,7 +198,7 @@ class TestTimeUpdate:
         state = fc.FilterState.initial(model, [0.0, 0.0], noise_cov=np.eye(2))
         state = replace(state, bias_sens=np.array([[1.0], [2.0]]))
         pred = fc.time_update(model, state)
-        np.testing.assert_allclose(pred.total_cov, pred.noise_cov)
+        assert np.array_equal(pred.total_cov, pred.noise_cov)
 
 
 class TestMeasurementUpdate:
@@ -231,10 +271,10 @@ class TestMeasurementUpdate:
                 gap = np.linalg.eigvalsh(state.total_cov - state.noise_cov)
                 assert gap.min() > -1e-10
 
-    @pytest.mark.parametrize("make_model", [cv_model, state_dependent_model])
+    @pytest.mark.parametrize("make_model", [cv_model, state_dependent_model, full_bias_cov_model])
     @pytest.mark.parametrize("fixed_gain", [None, [[0.3], [0.05]]])
     def test_covariances_are_exactly_symmetric(self, make_model, fixed_gain):
-        # every returned M and S is symmetrized, so it equals its transpose to the bit
+        # every returned M and S is built symmetric, so it equals its transpose to the bit
         model = make_model()
         rng = np.random.default_rng(61)
         state = fc.FilterState.initial(model, np.array([0.2, -0.1]), noise_cov=np.eye(2))
@@ -635,6 +675,40 @@ def test_linear_bias_models_match_the_augmented_oracle(seed, q, p, fixed):
             # x's rounding follows the innovation, which does not vanish with x
             scale = max(np.abs(ref).max(), np.abs(z).max()) if name == "x" else np.abs(ref).max()
             assert np.abs(got - ref).max() <= 1e-12 * scale, (k, name)
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_full_bias_covariance_matches_the_augmented_oracle(fixed):
+    """The root of a full Lambda gives the oracle's fields over 200 steps."""
+    model, cov0 = full_bias_cov_model(), np.eye(2) * 10.0
+    gain = None
+    if fixed:
+        gain = oracles.augmented_run(model, np.zeros(2), cov0, np.zeros((100, 1)))[-1][4]
+    zs = np.random.default_rng(67).normal(0.0, 1.0, (200, 1))
+    state = fc.FilterState.initial(model, np.zeros(2), noise_cov=cov0)
+    for k, (z, want) in enumerate(zip(zs, oracles.augmented_run(model, np.zeros(2), cov0,
+                                                                 zs, gain))):
+        state = fc.step(model, state, z, gain=gain)
+        for name, ref in zip(STATE_FIELDS, want):
+            scale = max(np.abs(ref).max(), np.abs(z).max()) if name == "x" else np.abs(ref).max()
+            assert np.abs(getattr(state, name) - ref).max() <= 1e-12 * scale, (k, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_a_halved_factor_gives_the_halved_sum_to_the_bit(n, data):
+    """H + H' with H = X M (X'/2) + Q/2 equals 0.5 (A + A') with A = X M X' + Q to the bit,
+    for a symmetric M and Q: the premise on which M keeps its bits without a symmetrize step."""
+    magnitude = st.floats(1e-100, 1e100)
+    entry = st.builds(lambda v, negative: -v if negative else v, magnitude, st.booleans())
+    x, m, q = (np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+               .reshape(n, n) for _ in range(3))
+    m, q = (np.triu(a) + np.triu(a, 1).T for a in (m, q))
+    # halving is exact for normal numbers: X M X' then has no subnormal product
+    xm = x.dot(m)
+    assume(np.all((xm == 0.0) | (np.abs(xm) >= 1e-200)))
+    a = xm.dot(x.T) + q
+    assert np.array_equal(fc._plus_transpose(xm.dot((x * 0.5).T) + q * 0.5), 0.5 * (a + a.T))
 
 
 STATE_FIELDS = ("x", "noise_cov", "bias_sens", "total_cov", "gain")
